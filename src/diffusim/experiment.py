@@ -9,12 +9,20 @@ the substrate is regenerated for that run), then seed selection, then the
 dynamics draws.  Runs therefore commute: records are a pure function of
 (config, run_index), whatever the execution order or worker count.
 
+Execution: ensembles and sweeps share one executor.  Configs that share
+a graph key (graph spec, master_seed, regenerate flag) draw the identical
+graph for every run, so they run together, run-major: run i's graph is
+built once and every config with at least i+1 runs uses it.  A sweep uses
+one process pool for all its cells.  Since records depend only on
+(config, run_index), none of this changes a result.
+
 Ensemble statistics exclude censored runs from mean/std/min/max and tally
 them separately; the coefficient of variation is reported only for a
 strictly positive mean.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import itertools
@@ -84,6 +92,9 @@ class SimConfig:
         norm = []
         for target in self.metrics:
             if isinstance(target, (tuple, list)):
+                if len(target) != 2:
+                    raise ValueError(f"metrics: spread pair {list(target)} "
+                                     "needs exactly two fractions")
                 lo, hi = float(target[0]), float(target[1])
                 if not 0.0 < lo < hi <= 1.0:
                     raise ValueError(f"metrics: bad spread pair ({lo}, {hi})")
@@ -95,6 +106,13 @@ class SimConfig:
                 norm.append(f)
         if not norm:
             raise ValueError("metrics: must name at least one target")
+        seen = {}
+        for target in norm:
+            label = metric_label(target)
+            if label in seen:
+                raise ValueError(f"metrics: {seen[label]!r} and {target!r} "
+                                 f"share the label {label!r}")
+            seen[label] = target
         object.__setattr__(self, "metrics", tuple(norm))
 
     def effective_max_steps(self, n: int) -> int:
@@ -298,20 +316,8 @@ class EnsembleResult:
         raise KeyError(label)
 
 
-def _shared_graph(config: SimConfig) -> Graph | None:
-    """The one graph reused by every run, or None when regenerating."""
-    if config.graph.is_random and config.regenerate_graph_per_run:
-        return None
-    rng = derive_graph_rng(config.master_seed, 0) if config.graph.is_random else None
-    return build_graph(config.graph, rng)
-
-
-def _execute_run(config: SimConfig, shared: Graph | None, run_index: int,
+def _execute_run(config: SimConfig, g: Graph, run_index: int,
                  collect_counts: bool):
-    if shared is None:
-        g = build_graph(config.graph, derive_graph_rng(config.master_seed, run_index))
-    else:
-        g = shared
     rng = derive_run_rng(config.master_seed, run_index)
     seeds = dynamics.seed_random(g, config.seed_count, rng)
     traj = dynamics.run(config.model, g, seeds, config.scheme,
@@ -329,9 +335,40 @@ def _execute_run(config: SimConfig, shared: Graph | None, run_index: int,
     return record, (traj.counts if collect_counts else None), g.n
 
 
-def _run_chunk(config: SimConfig, indices, collect_counts: bool):
-    shared = _shared_graph(config)
-    return [_execute_run(config, shared, i, collect_counts) for i in indices]
+def _run_group_chunk(configs, indices, collect_counts: bool):
+    """Run ``indices`` of every config in one graph-key group, run-major.
+
+    Each run's graph is built once and shared by the configs that have
+    that run (a shared graph once per chunk).  Returns per config
+    (outputs, error): the outputs of its runs in index order up to its
+    first failing run, whose exception is ``error`` (None if none failed).
+    """
+    first = configs[0]
+    regenerate = first.graph.is_random and first.regenerate_graph_per_run
+    outputs = [[] for _ in configs]
+    errors = [None] * len(configs)
+    g = None
+    for i in indices:
+        live = [c for c, config in enumerate(configs)
+                if i < config.runs and errors[c] is None]
+        if not live:
+            continue
+        if g is None or regenerate:
+            rng = None
+            if first.graph.is_random:  # a shared graph uses index 0's stream
+                rng = derive_graph_rng(first.master_seed, i if regenerate else 0)
+            try:
+                g = build_graph(first.graph, rng)
+            except (ValueError, OSError) as exc:
+                for c in live:
+                    errors[c] = exc
+                continue
+        for c in live:
+            try:
+                outputs[c].append(_execute_run(configs[c], g, i, collect_counts))
+            except (ValueError, OSError) as exc:
+                errors[c] = exc
+    return list(zip(outputs, errors))
 
 
 def worker_count(env=None) -> int:
@@ -356,32 +393,69 @@ def run_ensemble(config: SimConfig, workers: int = 1,
 
     Output is a pure function of the config: records are derived per
     run_index and aggregation happens in run_index order, so the worker
-    count never changes any byte of the result.
+    count never changes any byte of the result.  Raises the exception of
+    the first failing run.
     """
-    indices = list(range(config.runs))
-    if workers <= 1 or config.runs == 1:
-        outputs = _run_chunk(config, indices, collect_curves)
-    else:
-        chunk_size = max(1, math.ceil(config.runs / (workers * 4)))
-        chunks = [indices[i:i + chunk_size]
-                  for i in range(0, len(indices), chunk_size)]
-        outputs = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, itertools.repeat(config), chunks,
-                                 itertools.repeat(collect_curves)):
-                outputs.extend(part)
-    outputs.sort(key=lambda item: item[0].run_index)
+    [(_, result)] = _execute([config], workers, collect_curves)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
+
+def _execute(configs, workers: int, collect_counts: bool = False):
+    """Run every config's ensemble, building each distinct graph once.
+
+    Configs are grouped by graph key; a group is cut into run-index chunks
+    (one chunk when serial, else ceil(runs / (4 * workers)) runs each) that
+    run in one process pool.  Yields (config position, EnsembleResult or
+    the exception of its first failing run) as soon as a group's last
+    chunk is in, so only one group's records are held at a time.
+    """
+    groups = {}  # configs with equal keys draw the same graph for every run
+    for position, config in enumerate(configs):
+        key = (config.graph, config.master_seed, config.regenerate_graph_per_run)
+        groups.setdefault(key, []).append(position)
+    tasks = []  # (group members, run indices, is the group's last chunk)
+    for members in groups.values():
+        runs = max(configs[p].runs for p in members)
+        size = runs if workers <= 1 else max(1, math.ceil(runs / (workers * 4)))
+        tasks.extend((members, range(start, min(start + size, runs)),
+                      start + size >= runs) for start in range(0, runs, size))
+
+    outputs = {position: [] for position in range(len(configs))}
+    errors = {}
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1 and len(tasks) > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        parts = mapper(_run_group_chunk,
+                       [[configs[p] for p in members] for members, _, _ in tasks],
+                       [indices for _, indices, _ in tasks],
+                       itertools.repeat(collect_counts))
+        for (members, _, last), part in zip(tasks, parts):
+            for position, (chunk_outputs, error) in zip(members, part):
+                if position not in errors:
+                    outputs[position].extend(chunk_outputs)
+                    if error is not None:
+                        errors[position] = error
+            if last:
+                for position in members:
+                    items = outputs.pop(position)
+                    yield position, (errors[position] if position in errors else
+                                     _ensemble(configs[position], items,
+                                               collect_counts))
+
+
+def _ensemble(config: SimConfig, outputs, collect_counts: bool) -> EnsembleResult:
     records = tuple(item[0] for item in outputs)
     labels = [metric_label(m) for m in config.metrics]
     stats = tuple((label, _metric_stats(records, label)) for label in labels)
-
+    n = outputs[0][2]
     curve = None
-    if collect_curves:
-        curve = _accumulate_curve([item[1] for item in outputs],
-                                  n=outputs[0][2], runs=config.runs)
-    return EnsembleResult(records=records, stats=stats, curve=curve,
-                          n=outputs[0][2])
+    if collect_counts:
+        curve = _accumulate_curve([item[1] for item in outputs], n=n,
+                                  runs=config.runs)
+    return EnsembleResult(records=records, stats=stats, curve=curve, n=n)
 
 
 def _metric_stats(records, label: str) -> MetricStats:
@@ -451,9 +525,12 @@ class SweepCell:
 def sweep(base: SimConfig, axes, workers: int = 1) -> list:
     """Run one ensemble per cell of the cross-product grid.
 
-    ``axes`` is a sequence of (dotted_key, values) pairs; cells are visited
+    ``axes`` is a sequence of (dotted_key, values) pairs; cells are listed
     in lexicographic order over the declared axis order.  A failing cell is
-    recorded with its error message and the sweep continues.
+    recorded with its error message and the sweep continues.  Cells that
+    share a graph key run together, each run's graph built once for all of
+    them, in one process pool; every cell's result is the one
+    ``run_ensemble`` gives for it alone.
     """
     axes = list(axes)
     if not axes:
@@ -463,21 +540,29 @@ def sweep(base: SimConfig, axes, workers: int = 1) -> list:
             raise ValueError(f"{key}: empty sweep range")
     base_doc = config_to_dict(base)
     keys = [key for key, _ in axes]
-    cells = []
+    configs = []
+    grid = []  # per cell: assignments, then its config's position or its error
     for combo in itertools.product(*[list(values) for _, values in axes]):
         doc = copy.deepcopy(base_doc)
         for key, value in zip(keys, combo):
             set_dotted(doc, key, value)
-        assignments = tuple(zip(keys, combo))
         try:
-            config = config_from_dict(doc)
-            result = run_ensemble(config, workers=workers)
-            cells.append(SweepCell(assignments=assignments, stats=result.stats,
-                                   runs=config.runs))
-        except (ValueError, OSError) as exc:
-            cells.append(SweepCell(assignments=assignments, stats=None,
-                                   runs=0, error=str(exc)))
-    return cells
+            configs.append(config_from_dict(doc))
+            outcome = len(configs) - 1
+        except ValueError as exc:
+            outcome = str(exc)
+        grid.append((tuple(zip(keys, combo)), outcome))
+
+    done = {}  # only the stats are kept, so records never pile up
+    for position, result in _execute(configs, workers):
+        if isinstance(result, Exception):
+            done[position] = dict(stats=None, runs=0, error=str(result))
+        else:
+            done[position] = dict(stats=result.stats, runs=configs[position].runs)
+    return [SweepCell(assignments=assignments,
+                      **(done[outcome] if isinstance(outcome, int)
+                         else dict(stats=None, runs=0, error=outcome)))
+            for assignments, outcome in grid]
 
 
 # -- exact oracle for the global-model count process --------------------------

@@ -49,7 +49,8 @@ class Graph:
     """
 
     __slots__ = ("n", "arc_count", "_arc_src", "_arc_dst",
-                 "_in_indptr", "_in_indices", "_out_indptr", "_out_indices")
+                 "_in_indptr", "_in_indices", "_out_indptr", "_out_indices",
+                 "_fingerprint")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray):
         n = int(n)
@@ -84,6 +85,7 @@ class Graph:
         self._in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=self._in_indptr[1:])
         self._in_indices = src[in_order]
+        self._fingerprint = None
         for a in (self._arc_src, self._arc_dst, self._out_indptr,
                   self._out_indices, self._in_indptr, self._in_indices):
             a.setflags(write=False)
@@ -120,13 +122,15 @@ class Graph:
         return np.diff(self._out_indptr)
 
     def fingerprint(self) -> str:
-        """Stable 16-hex-digit digest of (n, arc set)."""
-        h = hashlib.sha256()
-        h.update(str(self.n).encode())
-        h.update(b"\n")
-        h.update(self._arc_src.tobytes())
-        h.update(self._arc_dst.tobytes())
-        return h.hexdigest()[:16]
+        """Stable 16-hex-digit digest of (n, arc set); computed once."""
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            h.update(str(self.n).encode())
+            h.update(b"\n")
+            h.update(self._arc_src.tobytes())
+            h.update(self._arc_dst.tobytes())
+            self._fingerprint = h.hexdigest()[:16]
+        return self._fingerprint
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -144,10 +148,6 @@ class Graph:
 # -- generators -------------------------------------------------------------
 
 
-def _canon(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def watts_strogatz(n: int, k: int, beta: float, rng: np.random.Generator) -> Graph:
     """Small-world graph: ring lattice with random rewiring.
 
@@ -158,6 +158,10 @@ def watts_strogatz(n: int, k: int, beta: float, rng: np.random.Generator) -> Gra
     duplicate edge (up to n attempts, then the original edge is kept).  The
     undirected result is expanded into two opposed arcs per edge, so the
     arc count is exactly n*k for every beta.
+
+    Draw order: edges are visited j-major (j = 1..k/2, then i = 0..n-1);
+    each visit draws one ``rng.random()`` and rewires when it is below
+    beta, each attempt drawing ``rng.integers(n)``.  No draws when beta=0.
 
     Args:
         n: Node count.
@@ -172,34 +176,60 @@ def watts_strogatz(n: int, k: int, beta: float, rng: np.random.Generator) -> Gra
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be within [0, 1]")
 
-    edges = set()
-    for j in range(1, k // 2 + 1):
-        for i in range(n):
-            edges.add(_canon(i, (i + j) % n))
-
+    # lattice edges in visiting order, each encoded as a*n + b with a < b
+    near = np.tile(np.arange(n, dtype=np.int64), k // 2)
+    far = (near + np.repeat(np.arange(1, k // 2 + 1, dtype=np.int64), n)) % n
+    codes = np.minimum(near, far) * n + np.maximum(near, far)
     if beta > 0.0:
-        for j in range(1, k // 2 + 1):
-            for i in range(n):
-                if rng.random() >= beta:
-                    continue
-                old = _canon(i, (i + j) % n)
-                for _ in range(n):
-                    w = int(rng.integers(n))
-                    if w == i:
-                        continue
-                    new = _canon(i, w)
-                    if new in edges:
-                        continue
-                    edges.remove(old)
-                    edges.add(new)
-                    break
-                # all attempts collided: keep the original edge
+        codes = _rewire(n, near, codes, beta, rng)
+    lo, hi = np.divmod(codes, n)
+    return Graph(n, np.concatenate([np.stack([lo, hi], axis=1),
+                                    np.stack([hi, lo], axis=1)]))
 
-    arcs = np.empty((2 * len(edges), 2), dtype=np.int64)
-    for idx, (a, b) in enumerate(sorted(edges)):
-        arcs[2 * idx] = (a, b)
-        arcs[2 * idx + 1] = (b, a)
-    return Graph(n, arcs)
+
+def _rewire(n: int, near: np.ndarray, codes: np.ndarray, beta: float,
+            rng: np.random.Generator) -> np.ndarray:
+    """Apply the rewiring pass to the lattice edge codes.
+
+    Draw for draw the same as one ``rng.random()`` per edge: the decision
+    doubles are drawn in blocks, and after a hit the stream is rewound to
+    the block start and the doubles up to the hit drawn again, so the
+    ``integers`` attempts that follow see exactly the scalar loop's stream
+    (including the cached 32-bit half, which ``random`` never touches).
+    """
+    edges = set(codes.tolist())
+    bits = rng.bit_generator
+    # A block of 3/beta draws holds no hit with odds ~e^-3.  From beta=0.5
+    # the first draw is a hit as often as not, and a rewind costs more than
+    # the lookahead saves, so there the blocks shrink to single draws.
+    block = int(3.0 / beta) if beta < 0.5 else 1
+    e, total = 0, codes.size
+    while e < total:
+        size = min(block, total - e)
+        start = bits.state if size > 1 else None
+        draws = rng.random(size)
+        hit = int((draws < beta).argmax())
+        if draws[hit] >= beta:
+            e += size
+            continue
+        if hit + 1 < size:
+            bits.state = start
+            rng.random(hit + 1)
+        e += hit
+        i, old = int(near[e]), int(codes[e])
+        for _ in range(n):
+            w = int(rng.integers(n))
+            if w == i:
+                continue
+            new = i * n + w if i < w else w * n + i
+            if new in edges:
+                continue
+            edges.remove(old)
+            edges.add(new)
+            break
+        # all attempts collided: keep the original edge
+        e += 1
+    return np.fromiter(edges, dtype=np.int64, count=len(edges))
 
 
 def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,

@@ -133,8 +133,9 @@ def metric_label(target) -> str:
     """Column-friendly name for a metric target.
 
     A bare fraction f labels as ``time_to_<f>``; a (f_lo, f_hi) pair labels
-    as ``spread_<f_lo>_<f_hi>``.  Fractions are rendered with repr so the
-    label round-trips the exact float.
+    as ``spread_<f_lo>_<f_hi>``.  Fractions are rendered with ``:g`` (six
+    significant digits), so distinct targets can share a label; SimConfig
+    rejects such a pair.
     """
     if isinstance(target, (tuple, list)):
         lo, hi = target

@@ -152,6 +152,13 @@ class TestExitCodes:
                      str(blocker / "out")])
         assert code == 2
 
+    def test_malformed_spread_pair_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", metrics=[[0.1]])
+        code = main(["run", "--config", str(config), "--out",
+                     str(tmp_path / "out")])
+        assert code == 1
+        assert "metrics" in capsys.readouterr().err
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["run", "--out", "somewhere"]) == 1
         assert "error" in capsys.readouterr().err

@@ -4,9 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from diffusim import experiment
 from diffusim.dynamics import GLOBAL, GROUP, fixed
 from diffusim.graph import GraphSpec, directed_cycle, save_edge_list
-from diffusim.experiment import (SimConfig, config_from_dict, config_to_dict,
+from diffusim.experiment import (SimConfig, SweepCell, config_from_dict,
+                                 config_to_dict,
                                  config_fingerprint, derive_graph_rng,
                                  derive_run_rng, global_count_distribution,
                                  global_count_dp, run_ensemble, set_dotted,
@@ -62,6 +64,15 @@ class TestSimConfig:
             cycle_config(metrics=(1.5,))
         with pytest.raises(ValueError, match="spread"):
             cycle_config(metrics=((0.9, 0.2),))
+        with pytest.raises(ValueError, match="metrics: spread pair"):
+            cycle_config(metrics=((0.1,),))
+
+    def test_metrics_sharing_a_label_rejected(self):
+        with pytest.raises(ValueError, match="metrics: 0.1234561 and 0.1234564 "
+                                             "share the label 'time_to_0.123456'"):
+            cycle_config(metrics=(0.1234561, 0.1234564))
+        with pytest.raises(ValueError, match="share the label"):
+            cycle_config(metrics=((0.1, 0.9), (0.1, 0.9)))
 
     def test_default_step_cap_scales_with_n(self):
         assert cycle_config().effective_max_steps(50) == 10_000
@@ -280,6 +291,76 @@ class TestSweep:
                          metrics=(0.5,))
         cells = sweep(base, [("transmission_prob", [0.2, 0.8])])
         assert len(cells) == 2 and all(c.error is None for c in cells)
+
+
+class TestGroupedSweep:
+    """A sweep runs cells that share a graph key together; each cell must
+    still get exactly what run_ensemble gives it alone."""
+
+    @staticmethod
+    def alone(base, assignments):
+        doc = config_to_dict(base)
+        for key, value in assignments:
+            set_dotted(doc, key, value)
+        try:
+            config = config_from_dict(doc)
+        except ValueError as exc:
+            return SweepCell(assignments, None, 0, str(exc))
+        try:
+            result = run_ensemble(config)
+        except (ValueError, OSError) as exc:
+            return SweepCell(assignments, None, 0, str(exc))
+        return SweepCell(assignments, result.stats, config.runs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_each_cell_run_alone(self, tmp_path, workers):
+        edges = tmp_path / "small.edges"
+        save_edge_list(directed_cycle(20), str(edges))
+        base = SimConfig(graph=GraphSpec("watts_strogatz", n=30, k=4, beta=0.2),
+                         model=GROUP, master_seed=5, runs=3,
+                         metrics=(0.5, (0.1, 0.9)))
+        graphs = [{"type": "watts_strogatz", "n": 30, "k": 4, "beta": 0.2},
+                  {"type": "watts_strogatz", "n": 30, "k": 5, "beta": 0.2},
+                  {"type": "file", "path": str(tmp_path / "missing.edges")},
+                  {"type": "file", "path": str(edges)}]
+        axes = [("graph", graphs), ("regenerate_graph_per_run", [True, False]),
+                ("runs", [2, 3]), ("model", ["group", "global"]),
+                ("seed_count", [1, 25])]
+        cells = sweep(base, axes, workers=workers)
+        assert cells == [self.alone(base, cell.assignments) for cell in cells]
+
+        def cells_on(graph_doc):
+            return [c for c in cells if dict(c.assignments)["graph"] == graph_doc]
+
+        assert all(c.error is None for c in cells_on(graphs[0]))
+        assert all("k" in c.error for c in cells_on(graphs[1]))
+        missing = {c.error for c in cells_on(graphs[2])}
+        assert len(missing) == 1 and "missing.edges" in missing.pop()
+        # seed_count=25 fails at run time on the 20-node file graph only;
+        # the seed_count=1 cells sharing that graph still succeed
+        assert all((c.error is None) == (dict(c.assignments)["seed_count"] == 1)
+                   for c in cells_on(graphs[3]))
+
+    def test_each_graph_is_built_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting_build(spec, rng=None):
+            calls.append(spec)
+            return build(spec, rng)
+
+        build = experiment.build_graph
+        monkeypatch.setattr(experiment, "build_graph", counting_build)
+        base = SimConfig(graph=GraphSpec("watts_strogatz", n=30, k=4, beta=0.2),
+                         model=GROUP, master_seed=5, runs=3, metrics=(0.5,))
+        cells = sweep(base, [("graph.beta", [0.1, 0.3]), ("runs", [2, 4]),
+                             ("scheme", ["synchronous", "async_single_node"]),
+                             ("model", ["group", "global"])])
+        assert all(cell.error is None for cell in cells)
+        assert len(calls) == 2 * 4  # distinct graph keys x most runs in the key
+        calls.clear()
+        sweep(base, [("regenerate_graph_per_run", [False]),
+                     ("model", ["group", "global"])])
+        assert len(calls) == 1
 
 
 class TestGlobalCountOracle:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
+from diffusim import graph
 from diffusim.graph import (EdgeListError, Graph, GraphSpec, barabasi_albert,
                             build_graph, complete_graph, directed_cycle,
                             load_edge_list, save_edge_list, watts_strogatz)
@@ -81,6 +82,12 @@ class TestGraphCore:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
         assert a == b and a != c
+
+    def test_fingerprint_hashed_once(self, monkeypatch):
+        g = directed_cycle(5)
+        first = g.fingerprint()
+        monkeypatch.setattr(graph.hashlib, "sha256", None)
+        assert g.fingerprint() == first
 
 
 class TestWattsStrogatz:
