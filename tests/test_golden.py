@@ -196,7 +196,7 @@ OUTPUTS = {"curve.csv": _curve_csv, "fit.csv": _fit_csv,
 
 
 @pytest.mark.parametrize("name", sorted(OUTPUTS))
-def test_file_digest(name, tmp_path, capsys):
+def test_file_digest(name, tmp_path):
     path = OUTPUTS[name](tmp_path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FILE_DIGESTS[name]
 
