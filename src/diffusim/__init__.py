@@ -21,15 +21,15 @@ from .metrics import (MetricResult, Trajectory, adoption_curve, spread_time,
 from .experiment import (EnsembleResult, RunRecord, SimConfig,
                          derive_graph_rng, derive_run_rng, global_count_dp,
                          run_ensemble, sweep)
-from .curvefit import (FitResult, ObservedSeries, ReferenceCurve,
-                       build_reference_curves, fit_series, normalize_series)
+from .curvefit import (FitResult, ReferenceCurve, build_reference_curves,
+                       fit_series, normalize_series)
 
 __all__ = [
     "__version__",
     "ASYNC_SINGLE_NODE", "GLOBAL", "GROUP", "SYNCHRONOUS",
     "Graph", "GraphSpec", "ModelKind", "SeedSet", "StateVector",
     "MetricResult", "Trajectory", "SimConfig", "RunRecord", "EnsembleResult",
-    "FitResult", "ObservedSeries", "ReferenceCurve",
+    "FitResult", "ReferenceCurve",
     "adoption_curve", "barabasi_albert", "build_graph", "build_reference_curves",
     "complete_graph", "derive_graph_rng", "derive_run_rng", "directed_cycle",
     "fit_series", "fixed", "global_count_dp", "infection_probability",

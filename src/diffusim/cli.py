@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 usage or validation error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -33,11 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curvefit import (FitResult, build_reference_curves, fit_series,
+from .curvefit import (build_reference_curves, fit_series,
                        load_reference_config, normalize_series)
 from .experiment import (EnsembleResult, SimConfig, config_from_dict,
-                         run_ensemble, set_dotted, sweep, worker_count)
-from .graph import EdgeListError, build_graph, save_edge_list
+                         derive_graph_rng, run_ensemble, set_dotted, sweep,
+                         worker_count)
+from .graph import build_graph, save_edge_list
 from .metrics import metric_label
 
 HEADLINE_FRACTION = 0.01
@@ -76,23 +78,29 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
-    """Atomic CSV write: temp file in the target directory, then rename."""
+@contextlib.contextmanager
+def atomic_open(path):
+    """Text handle on a temp file in the target directory; the file is
+    renamed onto ``path`` when the block completes, and removed if it fails."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            yield handle
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Atomic CSV write (see atomic_open)."""
+    with atomic_open(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
 
 
 # -- config loading ------------------------------------------------------------
@@ -114,10 +122,7 @@ def _parse_override(text: str) -> tuple:
 
 def load_config_document(path: str, overrides) -> dict:
     """Read a JSON config and apply dotted overrides in flag order."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -131,11 +136,7 @@ def load_config_document(path: str, overrides) -> dict:
 
 
 def parse_config(path: str, overrides=None) -> SimConfig:
-    doc = load_config_document(path, overrides)
-    try:
-        return config_from_dict(doc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return config_from_dict(load_config_document(path, overrides))
 
 
 def _with_headline_metrics(config: SimConfig) -> SimConfig:
@@ -230,10 +231,7 @@ def cmd_sweep(args) -> int:
 
 def read_series_csv(path: str) -> np.ndarray:
     """Observed series input: header "t,value" or a single "value" column."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     rows = list(csv.reader(text.splitlines()))
     rows = [row for row in rows if row and any(col.strip() for col in row)]
     if not rows:
@@ -271,12 +269,9 @@ def cmd_fit(args) -> int:
                               "to override when fitting against the "
                               "packaged reference)")
         reference = load_reference_config()
-    try:
-        obs = normalize_series(raw)
-        curves = build_reference_curves(reference, workers=worker_count())
-        result = fit_series(obs, curves)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    obs = normalize_series(raw)
+    curves = build_reference_curves(reference, workers=worker_count())
+    result = fit_series(obs, curves)
     outdir = _prepare_outdir(args.out)
     rows = [[m.model, m.sse, m.time_scale, m.time_offset, m.amplitude,
              m.model == result.best_model] for m in result.table]
@@ -293,21 +288,11 @@ def cmd_gen_graph(args) -> int:
     outdir = _prepare_outdir(args.out)
     rng = None
     if config.graph.is_random:
-        from .experiment import derive_graph_rng
         rng = derive_graph_rng(config.master_seed, 0)
     g = build_graph(config.graph, rng)
     target = outdir / "graph.edges"
-    fd, tmp = tempfile.mkstemp(dir=outdir, prefix="graph.edges", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            save_edge_list(g, handle)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_open(target) as handle:
+        save_edge_list(g, handle)
     print(f"wrote {target} (n={g.n}, arcs={g.arc_count})")
     return 0
 
@@ -375,13 +360,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EdgeListError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and EdgeListError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -13,8 +13,7 @@ coordinate descent with step halving.  The best model is the smallest
 refined sse; ties break in the order fixed < group < global.
 
 Reference curves are regenerated from a shipped config rather than stored
-as numbers; the generating config's fingerprint is embedded so staleness is
-detectable.
+as numbers, so the config fully defines them.
 """
 from __future__ import annotations
 
@@ -25,38 +24,16 @@ from importlib import resources
 import numpy as np
 
 from .dynamics import GLOBAL, GROUP
-from .experiment import (SimConfig, config_fingerprint, config_from_dict,
-                         run_ensemble)
+from .experiment import SimConfig, config_from_dict, run_ensemble
 
 MODEL_ORDER = ("fixed", "group", "global")
-
-
-@dataclass(frozen=True)
-class ObservedSeries:
-    """Raw non-negative series (e.g. weekly search volume), length >= 8."""
-
-    values: tuple
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) < 8:
-            raise ValueError("observed series needs at least 8 points")
-        arr = np.asarray(values)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("observed series must be finite")
-        if np.any(arr < 0):
-            raise ValueError("observed series must be non-negative")
-        if not np.any(arr > 0):
-            raise ValueError("observed series must have a positive value")
 
 
 def normalize_series(values) -> np.ndarray:
     """Scale a non-negative series by its maximum into [0, 1].
 
-    Accepts any length >= 1; rejects an all-zero series.  (Length and
-    shape suitability for fitting are enforced by ObservedSeries /
-    fit_series, not here.)
+    Accepts any length >= 1; rejects an all-zero series.  (The length a fit
+    needs is enforced by fit_series, not here.)
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -77,7 +54,6 @@ class ReferenceCurve:
 
     model: str
     curve: np.ndarray
-    config_fingerprint: str
 
     def __post_init__(self):
         arr = np.asarray(self.curve, dtype=np.float64)
@@ -110,13 +86,10 @@ def build_reference_curves(config: SimConfig, workers: int = 1) -> tuple:
                          "transmission probability is pinned")
     curves = []
     for model in (config.model, GROUP, GLOBAL):
-        variant = replace(config, model=model)
-        result = run_ensemble(variant, workers=workers, collect_curves=True)
-        curves.append(ReferenceCurve(
-            model=model.kind,
-            curve=result.curve.mean_fraction,
-            config_fingerprint=config_fingerprint(variant),
-        ))
+        result = run_ensemble(replace(config, model=model), workers=workers,
+                              collect_curves=True)
+        curves.append(ReferenceCurve(model=model.kind,
+                                     curve=result.curve.mean_fraction))
     return tuple(curves)
 
 

@@ -26,11 +26,11 @@ bit-reproducible from (graph, seeds, scheme, stream).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_field_types
 from .metrics import Trajectory
 
 SYNCHRONOUS = "synchronous"
@@ -42,26 +42,25 @@ MODEL_KINDS = ("fixed", "group", "global")
 
 @dataclass(frozen=True)
 class ModelKind:
-    """Infection rule tag; ``transmission_prob`` only applies to fixed."""
+    """Infection rule tag; ``transmission_prob`` only applies to fixed.
 
-    kind: str
+    In a config document the kind is the ``model`` key.
+    """
+
+    kind: str = field(metadata={"key": "model"})
     transmission_prob: float | None = None
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        check_field_types(self)
         if self.kind == "fixed":
             if self.transmission_prob is None:
                 raise ValueError("fixed model requires transmission_prob")
-            p = float(self.transmission_prob)
-            if not 0.0 <= p <= 1.0:
+            if not 0.0 <= self.transmission_prob <= 1.0:
                 raise ValueError("transmission_prob must be within [0, 1]")
-            object.__setattr__(self, "transmission_prob", p)
         elif self.transmission_prob is not None:
             raise ValueError(f"{self.kind} model takes no transmission_prob")
-
-    def label(self) -> str:
-        return self.kind
 
 
 GROUP = ModelKind("group")
@@ -71,18 +70,6 @@ GLOBAL = ModelKind("global")
 def fixed(transmission_prob: float) -> ModelKind:
     """Fixed-threshold model: each infected in-neighbor transmits i.i.d."""
     return ModelKind("fixed", transmission_prob)
-
-
-def parse_model(name: str, transmission_prob: float | None = None) -> ModelKind:
-    if name == "fixed":
-        if transmission_prob is None:
-            raise ValueError("model 'fixed' requires transmission_prob")
-        return fixed(transmission_prob)
-    if name in ("group", "global"):
-        if transmission_prob is not None:
-            raise ValueError(f"model {name!r} takes no transmission_prob")
-        return ModelKind(name)
-    raise ValueError(f"unknown model {name!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +104,6 @@ class SeedSet:
     """Initially infected nodes (non-empty, distinct, sorted)."""
 
     nodes: tuple
-    origin: str = "explicit"
 
     def __post_init__(self):
         nodes = tuple(sorted(int(u) for u in self.nodes))
@@ -142,7 +128,7 @@ def seed_random(g: Graph, count: int, rng: np.random.Generator) -> SeedSet:
     for i in range(count):
         j = i + int(rng.integers(n - i))
         pool[i], pool[j] = pool[j], pool[i]
-    return SeedSet(tuple(pool[:count]), origin=f"random({count})")
+    return SeedSet(tuple(pool[:count]))
 
 
 def _fixed_prob_table(transmission_prob: float, max_degree: int) -> list:

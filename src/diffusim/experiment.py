@@ -30,13 +30,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import dynamics
 from .dynamics import ModelKind, SCHEMES, SYNCHRONOUS
-from .graph import GENERATORS, Graph, GraphSpec, build_graph, canonical_generator
+from .graph import (Graph, GraphSpec, build_graph, check_field_types,
+                    config_key, config_value)
 from .metrics import MetricResult, evaluate_metric, metric_label
 
 STREAM_RUN = 0
@@ -63,7 +64,11 @@ def derive_graph_rng(master_seed: int, run_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fully validated description of one ensemble."""
+    """Fully validated description of one ensemble.
+
+    The field declarations are the config schema: the document keys, their
+    types and their defaults all derive from them (see config_from_dict).
+    """
 
     graph: GraphSpec
     model: ModelKind
@@ -76,7 +81,7 @@ class SimConfig:
     metrics: tuple = DEFAULT_METRICS
 
     def __post_init__(self):
-        self.graph.validate()
+        check_field_types(self)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme: unknown value {self.scheme!r}")
         if self.seed_count < 1:
@@ -95,12 +100,12 @@ class SimConfig:
                 if len(target) != 2:
                     raise ValueError(f"metrics: spread pair {list(target)} "
                                      "needs exactly two fractions")
-                lo, hi = float(target[0]), float(target[1])
+                lo, hi = (config_value("metrics", "float", f) for f in target)
                 if not 0.0 < lo < hi <= 1.0:
                     raise ValueError(f"metrics: bad spread pair ({lo}, {hi})")
                 norm.append((lo, hi))
             else:
-                f = float(target)
+                f = config_value("metrics", "float", target)
                 if not 0.0 < f <= 1.0:
                     raise ValueError(f"metrics: fraction {f} outside (0, 1]")
                 norm.append(f)
@@ -121,115 +126,75 @@ class SimConfig:
         return MAX_STEPS_PER_NODE * n
 
 
-_CONFIG_DEFAULTS = {
-    "scheme": SYNCHRONOUS,
-    "seed_count": 1,
-    "runs": 1,
-    "max_steps": None,
-    "regenerate_graph_per_run": True,
-    "metrics": [0.01, [0.01, 0.99]],
-}
+def _items(obj) -> list:
+    """(config key, value) per field of a config dataclass, in declared order."""
+    return [(config_key(f), getattr(obj, f.name)) for f in fields(obj)]
 
-_GRAPH_KEYS = ("type", "n", "k", "beta", "m_attach", "m0", "path")
+
+def _arguments(cls, doc: dict, prefix: str = "") -> dict:
+    """Keyword arguments for dataclass ``cls`` from the keys of ``doc`` it
+    declares; a key whose field has no default must be present."""
+    args = {}
+    for f in fields(cls):
+        if config_key(f) in doc:
+            args[f.name] = doc[config_key(f)]
+        elif f.default is MISSING:
+            raise ValueError(f"{prefix}{config_key(f)}: required config key is missing")
+    return args
+
+
+def _reject_unknown(doc: dict, classes, prefix: str = "") -> None:
+    known = {config_key(f) for cls in classes for f in fields(cls)}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"{prefix}{key}: unknown config key")
 
 
 def config_from_dict(doc: dict) -> SimConfig:
     """Build a SimConfig from the plain-dict (config file) form.
 
-    Raises ValueError naming the offending key on unknown keys or bad
-    values.  Defaults: scheme=synchronous, seed_count=1, runs=1,
-    max_steps=null (meaning 200*n), regenerate_graph_per_run=true,
-    metrics=[0.01, [0.01, 0.99]].
+    The keys are SimConfig's fields, except that the model is given by
+    ModelKind's (``model`` names the kind, beside ``transmission_prob``),
+    and ``graph`` is an object of GraphSpec's (``type`` names the
+    generator).  Omitted keys take the field defaults.  Raises ValueError
+    naming the offending dotted key.
     """
     if not isinstance(doc, dict):
         raise ValueError("config: expected a JSON object")
-    doc = copy.deepcopy(doc)
-    known = {"model", "transmission_prob", "graph", "master_seed"} | set(_CONFIG_DEFAULTS)
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"{key}: unknown config key")
-    for key in ("model", "graph", "master_seed"):
-        if key not in doc:
-            raise ValueError(f"{key}: required config key is missing")
-
-    gdoc = doc["graph"]
-    if not isinstance(gdoc, dict):
-        raise ValueError("graph: expected an object")
-    for key in gdoc:
-        if key not in _GRAPH_KEYS:
-            raise ValueError(f"graph.{key}: unknown config key")
-    if "type" not in gdoc:
-        raise ValueError("graph.type: required config key is missing")
-    generator = canonical_generator(str(gdoc["type"]))
-    if generator not in GENERATORS:
-        raise ValueError(f"graph.type: unknown generator {gdoc['type']!r}")
-    spec = GraphSpec(
-        generator=generator,
-        n=None if gdoc.get("n") is None else int(gdoc["n"]),
-        k=None if gdoc.get("k") is None else int(gdoc["k"]),
-        beta=None if gdoc.get("beta") is None else float(gdoc["beta"]),
-        m_attach=None if gdoc.get("m_attach") is None else int(gdoc["m_attach"]),
-        m0=None if gdoc.get("m0") is None else int(gdoc["m0"]),
-        path=None if gdoc.get("path") is None else str(gdoc["path"]),
-    )
+    _reject_unknown(doc, (SimConfig, ModelKind))
+    args = _arguments(SimConfig, doc)
+    model_args = _arguments(ModelKind, doc)
     try:
-        spec.validate()
-    except ValueError as exc:
-        raise ValueError(f"graph.{exc}") from None
-
-    model_name = str(doc["model"])
-    tp = doc.get("transmission_prob")
-    try:
-        model = dynamics.parse_model(model_name, None if tp is None else float(tp))
+        args["model"] = ModelKind(**model_args)
     except ValueError as exc:
         raise ValueError(f"model: {exc}") from None
-
-    merged = dict(_CONFIG_DEFAULTS)
-    for key in _CONFIG_DEFAULTS:
-        if key in doc:
-            merged[key] = doc[key]
+    gdoc = args["graph"]
+    if not isinstance(gdoc, dict):
+        raise ValueError("graph: expected an object")
+    _reject_unknown(gdoc, (GraphSpec,), "graph.")
+    graph_args = _arguments(GraphSpec, gdoc, "graph.")
     try:
-        master_seed = int(doc["master_seed"])
-    except (TypeError, ValueError):
-        raise ValueError("master_seed: must be an integer") from None
-
-    metrics = merged["metrics"]
-    if not isinstance(metrics, (list, tuple)):
-        raise ValueError("metrics: expected a list")
-    return SimConfig(
-        graph=spec,
-        model=model,
-        master_seed=master_seed,
-        scheme=str(merged["scheme"]),
-        seed_count=int(merged["seed_count"]),
-        runs=int(merged["runs"]),
-        max_steps=None if merged["max_steps"] is None else int(merged["max_steps"]),
-        regenerate_graph_per_run=bool(merged["regenerate_graph_per_run"]),
-        metrics=tuple(tuple(m) if isinstance(m, list) else m for m in metrics),
-    )
+        args["graph"] = GraphSpec(**graph_args)
+    except ValueError as exc:
+        raise ValueError(f"graph.{exc}") from None
+    return SimConfig(**args)
 
 
 def config_to_dict(config: SimConfig) -> dict:
-    """Inverse of config_from_dict (canonical plain-dict form)."""
-    g = config.graph
-    gdoc = {"type": g.generator}
-    for key in ("n", "k", "beta", "m_attach", "m0", "path"):
-        value = getattr(g, key)
-        if value is not None:
-            gdoc[key] = value
-    doc = {
-        "model": config.model.kind,
-        "graph": gdoc,
-        "scheme": config.scheme,
-        "seed_count": config.seed_count,
-        "runs": config.runs,
-        "max_steps": config.max_steps,
-        "master_seed": config.master_seed,
-        "regenerate_graph_per_run": config.regenerate_graph_per_run,
-        "metrics": [list(m) if isinstance(m, tuple) else m for m in config.metrics],
-    }
-    if config.model.kind == "fixed":
-        doc["transmission_prob"] = config.model.transmission_prob
+    """Inverse of config_from_dict (canonical plain-dict form).
+
+    Unset (None) model and graph fields are left out.
+    """
+    doc = {}
+    for key, value in _items(config):
+        if key == "graph":
+            value = {k: v for k, v in _items(value) if v is not None}
+        elif key == "model":
+            doc.update((k, v) for k, v in _items(value) if v is not None)
+            continue
+        elif key == "metrics":
+            value = [list(m) if isinstance(m, tuple) else m for m in value]
+        doc[key] = value
     return doc
 
 

@@ -13,15 +13,15 @@ UTF-8 with LF line endings.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import inspect
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable, Union
 
 import numpy as np
 
 PathOrFile = Union[str, Path, IO[str]]
-
-GENERATORS = ("watts_strogatz", "barabasi_albert", "complete", "directed_cycle", "file")
 
 _GENERATOR_ALIASES = {
     "ws": "watts_strogatz",
@@ -169,12 +169,7 @@ def watts_strogatz(n: int, k: int, beta: float, rng: np.random.Generator) -> Gra
         beta: Rewiring probability in [0, 1].
         rng: Seeded random stream.
     """
-    if k % 2 != 0:
-        raise ValueError("k must be even")
-    if not 0 < k < n:
-        raise ValueError("k must satisfy 0 < k < n")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must be within [0, 1]")
+    GraphSpec("watts_strogatz", n=n, k=k, beta=beta)  # checks the arguments
 
     # lattice edges in visiting order, each encoded as a*n + b with a < b
     near = np.tile(np.arange(n, dtype=np.int64), k // 2)
@@ -247,14 +242,9 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
         rng: Seeded random stream.
         m0: Seed clique size.
     """
+    GraphSpec("barabasi_albert", n=n, m_attach=m_attach, m0=m0)  # checks the arguments
     if m0 is None:
         m0 = m_attach
-    if not m_attach >= 1:
-        raise ValueError("m_attach must be >= 1")
-    if not m0 >= m_attach:
-        raise ValueError("m0 must be >= m_attach")
-    if not n > m0:
-        raise ValueError("n must exceed m0")
 
     edges: list[tuple[int, int]] = [(a, b) for a in range(m0) for b in range(a + 1, m0)]
     # one entry per degree endpoint; uniform picks from it are degree-weighted
@@ -285,8 +275,7 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
 
 def complete_graph(n: int) -> Graph:
     """All n*(n-1) ordered arcs; n >= 2."""
-    if n < 2:
-        raise ValueError("complete graph needs n >= 2")
+    GraphSpec("complete", n=n)  # checks the arguments
     idx = np.arange(n)
     src = np.repeat(idx, n - 1)
     dst = np.concatenate([np.delete(idx, i) for i in range(n)])
@@ -295,8 +284,7 @@ def complete_graph(n: int) -> Graph:
 
 def directed_cycle(n: int) -> Graph:
     """Arcs i -> (i+1) mod n; every in-degree is 1 (for n=2, a 2-cycle)."""
-    if n < 2:
-        raise ValueError("directed cycle needs n >= 2")
+    GraphSpec("directed_cycle", n=n)  # checks the arguments
     idx = np.arange(n)
     return Graph(n, np.stack([idx, (idx + 1) % n], axis=1))
 
@@ -369,16 +357,73 @@ def load_edge_list(source: PathOrFile) -> Graph:
 
 # -- declarative spec -------------------------------------------------------
 
+# Config typing, shared by every config dataclass.  Field annotations are
+# strings here (postponed evaluation), so the leading name picks the rule.
+_TYPES = {  # annotation -> (accepted types, stored as, description)
+    "int": (numbers.Integral, int, "an integer"),
+    "float": (numbers.Real, float, "a number"),
+    "bool": (bool, bool, "true or false"),
+    "str": (str, str, "a string"),
+    "tuple": ((list, tuple), tuple, "a list"),
+}
+
+
+def config_value(key: str, kind: str, value):
+    """``value`` checked against config type ``kind`` and stored as it.
+
+    No bool passes for a number, no string for a number, and no float for
+    an integer (not even 100.0); an integer passes for a float and becomes
+    one.  The ValueError names ``key``.
+    """
+    accepted, stored_as, description = _TYPES[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind != "bool"):
+        raise ValueError(f"{key}: expected {description}, got {value!r}")
+    return stored_as(value)
+
+
+def config_key(f) -> str:
+    """A dataclass field's config-document key: its ``key`` metadata, else its name."""
+    return f.metadata.get("key", f.name)
+
+
+def check_field_types(obj) -> None:
+    """Apply ``config_value`` to every typed field of a frozen config dataclass.
+
+    ``None`` passes only where the field's default is None.  Errors name
+    the field's config key; fields of other types check themselves.
+    """
+    for f in fields(obj):
+        kind = f.type.split(" | ")[0]
+        value = getattr(obj, f.name)
+        if kind in _TYPES and not (value is None and f.default is None):
+            object.__setattr__(obj, f.name, config_value(config_key(f), kind, value))
+
+
+def _read_file(path: str) -> Graph:
+    """Builder of the ``file`` generator, whose one argument is ``path``."""
+    return load_edge_list(path)
+
+
+# generator -> builder; a spec sets exactly the arguments its builder takes
+_BUILDERS = {"watts_strogatz": watts_strogatz, "barabasi_albert": barabasi_albert,
+             "complete": complete_graph, "directed_cycle": directed_cycle,
+             "file": _read_file}
+_PARAMETERS = {name: inspect.signature(builder).parameters
+               for name, builder in _BUILDERS.items()}
+GENERATORS = tuple(_BUILDERS)
+
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Declarative recipe for a diffusion substrate.
+    """Declarative recipe for a diffusion substrate, checked on construction.
 
-    ``generator`` is one of watts_strogatz | barabasi_albert | complete |
-    directed_cycle | file; only the fields that generator needs may be set.
+    ``generator`` names a builder above (or an alias: ws, ba, cycle); the
+    spec sets exactly the arguments that builder takes, optional ones
+    (``m0``) may stay unset, and the builder's argument rules hold.  In a
+    config document the generator is the ``type`` key.
     """
 
-    generator: str
+    generator: str = field(metadata={"key": "type"})
     n: int | None = None
     k: int | None = None
     beta: float | None = None
@@ -386,21 +431,20 @@ class GraphSpec:
     m0: int | None = None
     path: str | None = None
 
-    def validate(self) -> None:
-        gen = self.generator
-        if gen not in GENERATORS:
-            raise ValueError(f"type: unknown generator {gen!r}")
-        used = {"watts_strogatz": ("n", "k", "beta"),
-                "barabasi_albert": ("n", "m_attach", "m0"),
-                "complete": ("n",),
-                "directed_cycle": ("n",),
-                "file": ("path",)}[gen]
-        for field in ("n", "k", "beta", "m_attach", "m0", "path"):
-            value = getattr(self, field)
-            if field not in used and value is not None:
-                raise ValueError(f"{field}: not applicable to generator {gen!r}")
-            if field in used and field != "m0" and value is None:
-                raise ValueError(f"{field}: required by generator {gen!r}")
+    def __post_init__(self):
+        check_field_types(self)
+        gen = _GENERATOR_ALIASES.get(self.generator, self.generator)
+        if gen not in _BUILDERS:
+            raise ValueError(f"type: unknown generator {self.generator!r}")
+        object.__setattr__(self, "generator", gen)
+        params = _PARAMETERS[gen]
+        for f in fields(self)[1:]:  # the builder arguments
+            value = getattr(self, f.name)
+            if f.name not in params and value is not None:
+                raise ValueError(f"{f.name}: not applicable to generator {gen!r}")
+            if value is None and f.name in params \
+                    and params[f.name].default is inspect.Parameter.empty:
+                raise ValueError(f"{f.name}: required by generator {gen!r}")
         if gen == "watts_strogatz":
             if self.k % 2 != 0:
                 raise ValueError("k: must be even")
@@ -416,32 +460,19 @@ class GraphSpec:
                 raise ValueError("m0: must be >= m_attach")
             if not self.n > m0:
                 raise ValueError("n: must exceed m0")
-        elif gen in ("complete", "directed_cycle"):
-            if self.n < 2:
-                raise ValueError("n: must be >= 2")
+        elif gen != "file" and self.n < 2:
+            raise ValueError("n: must be >= 2")
 
     @property
     def is_random(self) -> bool:
         """Whether construction consumes random draws."""
-        return self.generator in ("watts_strogatz", "barabasi_albert")
-
-
-def canonical_generator(name: str) -> str:
-    """Map generator aliases (ws, ba, cycle) onto canonical names."""
-    return _GENERATOR_ALIASES.get(name, name)
+        return "rng" in _PARAMETERS[self.generator]
 
 
 def build_graph(spec: GraphSpec, rng: np.random.Generator | None = None) -> Graph:
     """Materialize a GraphSpec; random generators require ``rng``."""
-    spec.validate()
     if spec.is_random and rng is None:
         raise ValueError(f"generator {spec.generator!r} requires a random stream")
-    if spec.generator == "watts_strogatz":
-        return watts_strogatz(spec.n, spec.k, spec.beta, rng)
-    if spec.generator == "barabasi_albert":
-        return barabasi_albert(spec.n, spec.m_attach, rng, m0=spec.m0)
-    if spec.generator == "complete":
-        return complete_graph(spec.n)
-    if spec.generator == "directed_cycle":
-        return directed_cycle(spec.n)
-    return load_edge_list(spec.path)
+    args = {name: rng if name == "rng" else getattr(spec, name)
+            for name in _PARAMETERS[spec.generator]}
+    return _BUILDERS[spec.generator](**args)

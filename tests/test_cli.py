@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from diffusim.cli import main, parse_config, read_series_csv
-from diffusim.experiment import derive_graph_rng, run_ensemble
+from diffusim.experiment import derive_graph_rng, run_ensemble, set_dotted
 from diffusim.graph import build_graph, load_edge_list
 
 
@@ -159,6 +159,24 @@ class TestExitCodes:
         assert code == 1
         assert "metrics" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("runs", 2.7), ("runs", 100.0), ("runs", True), ("runs", "x"),
+        ("runs", None), ("regenerate_graph_per_run", "false"),
+        ("master_seed", 1.9), ("master_seed", "12"), ("max_steps", True),
+        ("seed_count", {}), ("graph.n", 10.5), ("graph.n", [1]),
+        ("metrics", [None]), ("metrics", [[None, 0.5]]),
+    ])
+    def test_mistyped_value_is_usage_error_naming_key(self, tmp_path, capsys,
+                                                      key, value):
+        doc = json.loads(write_config(tmp_path / "c.json").read_text())
+        set_dotted(doc, key, value)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["run", "--config", str(config), "--out",
+                     str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: {key}: expected " in capsys.readouterr().err
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["run", "--out", "somewhere"]) == 1
         assert "error" in capsys.readouterr().err
@@ -232,6 +250,16 @@ class TestSweepCommand:
         errors = read_rows(out / "sweep_errors.csv")
         assert errors[0] == ["graph.k", "error"]
         assert errors[1][0] == "5" and "k" in errors[1][1]
+
+    def test_mistyped_axis_values_are_failed_cells(self, tmp_path, capsys):
+        path = self.write_sweep(tmp_path, axes={"runs": [2, None, 2.5]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert "2 sweep cell(s) failed" in capsys.readouterr().err
+        assert [row[0] for row in read_rows(out / "sweep_summary.csv")[1:]] == ["2"]
+        assert read_rows(out / "sweep_errors.csv")[1:] == [
+            ["", "runs: expected an integer, got None"],
+            ["2.5", "runs: expected an integer, got 2.5"]]
 
     def test_malformed_sweep_documents(self, tmp_path):
         bad = tmp_path / "bad.json"

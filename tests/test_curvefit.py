@@ -6,9 +6,9 @@ import pytest
 
 from diffusim.dynamics import GROUP
 from diffusim.experiment import config_to_dict, config_from_dict
-from diffusim.curvefit import (FitGrid, ObservedSeries, ReferenceCurve,
-                               build_reference_curves, fit_series,
-                               load_reference_config, normalize_series)
+from diffusim.curvefit import (FitGrid, ReferenceCurve, build_reference_curves,
+                               fit_series, load_reference_config,
+                               normalize_series)
 
 
 @pytest.fixture(scope="module")
@@ -41,35 +41,19 @@ class TestNormalizeSeries:
             normalize_series([])
 
 
-class TestObservedSeries:
-    def test_accepts_and_coerces(self):
-        series = ObservedSeries(values=(0, 1, 2, 3, 4, 5, 6, 7))
-        assert series.values == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError, match="at least 8"):
-            ObservedSeries(values=(1.0,) * 7)
-        with pytest.raises(ValueError, match="finite"):
-            ObservedSeries(values=(1.0,) * 7 + (float("inf"),))
-        with pytest.raises(ValueError, match="non-negative"):
-            ObservedSeries(values=(1.0,) * 7 + (-1.0,))
-        with pytest.raises(ValueError, match="positive"):
-            ObservedSeries(values=(0.0,) * 8)
-
-
 class TestReferenceCurve:
     def test_valid_curve_is_read_only(self):
-        ref = ReferenceCurve("fixed", np.linspace(0, 1, 5), "abc")
+        ref = ReferenceCurve("fixed", np.linspace(0, 1, 5))
         with pytest.raises(ValueError):
             ref.curve[0] = 0.5
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="at least 2"):
-            ReferenceCurve("fixed", np.array([0.5]), "abc")
+            ReferenceCurve("fixed", np.array([0.5]))
         with pytest.raises(ValueError, match="within"):
-            ReferenceCurve("fixed", np.array([0.0, 1.5]), "abc")
+            ReferenceCurve("fixed", np.array([0.0, 1.5]))
         with pytest.raises(ValueError, match="non-decreasing"):
-            ReferenceCurve("fixed", np.array([0.5, 0.2, 0.9]), "abc")
+            ReferenceCurve("fixed", np.array([0.5, 0.2, 0.9]))
 
 
 class TestReferenceBuild:
@@ -80,8 +64,6 @@ class TestReferenceBuild:
 
     def test_one_curve_per_model_in_order(self, refs):
         assert [r.model for r in refs] == ["fixed", "group", "global"]
-        fingerprints = {r.config_fingerprint for r in refs}
-        assert len(fingerprints) == 3  # one variant config per model
 
     def test_curves_start_at_seed_fraction_and_complete(self, refs,
                                                         reference_config):
@@ -170,7 +152,7 @@ class TestFitSeries:
 
     def test_tie_breaks_toward_fixed(self):
         curve = np.linspace(0.0, 1.0, 40)
-        twins = tuple(ReferenceCurve(model, curve, "same")
+        twins = tuple(ReferenceCurve(model, curve)
                       for model in ("fixed", "group", "global"))
         result = fit_series(curve, twins)
         assert result.best_model == "fixed"

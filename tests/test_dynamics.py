@@ -8,8 +8,8 @@ from conftest import make_random_instance, rng_for
 from diffusim import dynamics
 from diffusim.dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, ModelKind,
                                SCHEMES, SYNCHRONOUS, SeedSet, StateVector,
-                               fixed, infection_probability, parse_model, run,
-                               seed_random, step)
+                               fixed, infection_probability, run, seed_random,
+                               step)
 from diffusim.graph import Graph, complete_graph, directed_cycle, watts_strogatz
 
 
@@ -28,14 +28,6 @@ class TestModelKind:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown model"):
             ModelKind("viral")
-
-    def test_parse_model(self):
-        assert parse_model("group") == GROUP
-        assert parse_model("fixed", 0.3) == fixed(0.3)
-        with pytest.raises(ValueError):
-            parse_model("fixed")
-        with pytest.raises(ValueError):
-            parse_model("global", 0.3)
 
 
 class TestSeedSet:

@@ -1,11 +1,16 @@
 """Stream derivation, ensembles, sweeps, and the exact count oracle."""
 from __future__ import annotations
 
+import json
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from diffusim import experiment
-from diffusim.dynamics import GLOBAL, GROUP, fixed
+from diffusim.dynamics import GLOBAL, GROUP, ModelKind, fixed
 from diffusim.graph import GraphSpec, directed_cycle, save_edge_list
 from diffusim.experiment import (SimConfig, SweepCell, config_from_dict,
                                  config_to_dict,
@@ -13,6 +18,26 @@ from diffusim.experiment import (SimConfig, SweepCell, config_from_dict,
                                  derive_run_rng, global_count_distribution,
                                  global_count_dp, run_ensemble, set_dotted,
                                  sweep, worker_count)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_configuration_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Configuration")[1].split("\n## ")[0]
+
+
+def shipped_config_documents() -> dict:
+    readme = readme_configuration_section()
+    return {
+        "sweep base": json.loads((ROOT / "configs/onset_spread_sweep.json")
+                                 .read_text(encoding="utf-8"))["base"],
+        "reference config": json.loads(
+            (ROOT / "src/diffusim/data/reference_config.json")
+            .read_text(encoding="utf-8")),
+        "README example": json.loads(readme.split("```json")[1].split("```")[0]),
+    }
 
 
 def cycle_config(**kw):
@@ -67,6 +92,26 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="metrics: spread pair"):
             cycle_config(metrics=((0.1,),))
 
+    def test_strict_field_types(self):
+        with pytest.raises(ValueError, match=r"^runs: expected an integer, got 2\.0$"):
+            cycle_config(runs=2.0)
+        with pytest.raises(ValueError, match="regenerate_graph_per_run: expected true or false"):
+            cycle_config(regenerate_graph_per_run=1)
+        with pytest.raises(ValueError, match="scheme: expected a string"):
+            cycle_config(scheme=None)
+        with pytest.raises(ValueError, match="metrics: expected a list"):
+            cycle_config(metrics=0.5)
+        with pytest.raises(ValueError, match="type: expected a string"):
+            GraphSpec(["ws"])
+        with pytest.raises(ValueError, match="transmission_prob: expected a number"):
+            fixed("0.5")
+        # an integer passes for a float and is stored as one
+        spec = GraphSpec("ws", n=np.int64(20), k=4, beta=0)
+        assert spec.beta == 0.0 and isinstance(spec.beta, float)
+        assert type(spec.n) is int and spec.generator == "watts_strogatz"
+        assert fixed(1).transmission_prob == 1.0
+        assert cycle_config(metrics=[1, [0.5, 1]]).metrics == (1.0, (0.5, 1.0))
+
     def test_metrics_sharing_a_label_rejected(self):
         with pytest.raises(ValueError, match="metrics: 0.1234561 and 0.1234564 "
                                              "share the label 'time_to_0.123456'"):
@@ -113,6 +158,32 @@ class TestSimConfig:
             config_from_dict(dict(base, model="fixed"))
         with pytest.raises(ValueError, match="graph.type"):
             config_from_dict(dict(base, graph={"n": 100}))
+
+    @pytest.mark.parametrize("name, fingerprint", [
+        ("sweep base", "bfe906b866443ed5"),
+        ("reference config", "b154e5cdcac99407"),
+        ("README example", "94708fe74773c37f"),
+    ])
+    def test_canonical_form_of_shipped_configs(self, name, fingerprint):
+        # pinned digests of the canonical form: a fingerprint recorded from
+        # a shipped config must never change
+        doc = shipped_config_documents()[name]
+        cfg = config_from_dict(doc)
+        canonical = config_to_dict(cfg)
+        assert config_fingerprint(cfg) == fingerprint
+        assert config_from_dict(canonical) == cfg
+        assert all(canonical.get(key) == value for key, value in doc.items())
+
+    def test_readme_key_table_lists_the_schema(self):
+        def keys(cls):
+            return {f.metadata.get("key", f.name) for f in fields(cls)}
+
+        schema = ((keys(SimConfig) | keys(ModelKind)) - {"graph"}) | \
+            {f"graph.{key}" for key in keys(GraphSpec)}
+        table = re.findall(r"^\| `([\w.]+)` \|", readme_configuration_section(),
+                           re.M)
+        assert sorted(table) == sorted(schema)
+        assert len(table) == len(set(table))
 
     def test_fingerprint_tracks_content(self):
         assert config_fingerprint(cycle_config()) == config_fingerprint(cycle_config())

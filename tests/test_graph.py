@@ -280,16 +280,16 @@ class TestGraphSpec:
 
     def test_spec_field_applicability(self):
         with pytest.raises(ValueError, match="beta"):
-            GraphSpec("complete", n=4, beta=0.1).validate()
+            GraphSpec("complete", n=4, beta=0.1)
         with pytest.raises(ValueError, match="k"):
-            GraphSpec("watts_strogatz", n=4, beta=0.1).validate()
+            GraphSpec("watts_strogatz", n=4, beta=0.1)
         with pytest.raises(ValueError, match="path"):
-            GraphSpec("file").validate()
+            GraphSpec("file")
 
     def test_spec_constraints(self):
         with pytest.raises(ValueError, match="k"):
-            GraphSpec("watts_strogatz", n=10, k=3, beta=0.1).validate()
+            GraphSpec("watts_strogatz", n=10, k=3, beta=0.1)
         with pytest.raises(ValueError, match="n"):
-            GraphSpec("barabasi_albert", n=2, m_attach=2).validate()
+            GraphSpec("barabasi_albert", n=2, m_attach=2)
         with pytest.raises(ValueError, match="generator"):
-            GraphSpec("mystery", n=5).validate()
+            GraphSpec("mystery", n=5)
