@@ -11,8 +11,8 @@ are reproducible bit for bit from a config and a master seed.
 __version__ = "0.1.0"
 
 from .dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, ModelKind, SeedSet,
-                       StateVector, SYNCHRONOUS, fixed, infection_probability,
-                       run, seed_random, step)
+                       SYNCHRONOUS, fixed, infection_probability, run,
+                       seed_random, step)
 from .graph import (Graph, GraphSpec, barabasi_albert, build_graph,
                     complete_graph, directed_cycle, load_edge_list,
                     save_edge_list, watts_strogatz)
@@ -27,7 +27,7 @@ from .curvefit import (FitResult, ReferenceCurve, build_reference_curves,
 __all__ = [
     "__version__",
     "ASYNC_SINGLE_NODE", "GLOBAL", "GROUP", "SYNCHRONOUS",
-    "Graph", "GraphSpec", "ModelKind", "SeedSet", "StateVector",
+    "Graph", "GraphSpec", "ModelKind", "SeedSet",
     "MetricResult", "Trajectory", "SimConfig", "RunRecord", "EnsembleResult",
     "FitResult", "ReferenceCurve",
     "adoption_curve", "barabasi_albert", "build_graph", "build_reference_curves",

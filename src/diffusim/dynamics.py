@@ -9,9 +9,10 @@ Three probability rules are supported for a susceptible node u:
   in-neighbors.
 * global:    p = (total infected) / n, regardless of topology.
 
-States are advanced with a uniform convention: the state at t+1 is computed
-from the state at t.  Infection is monotone; there is no recovery.  Two
-update schemes exist:
+Infection is monotone; there is no recovery, so a state is a Trajectory:
+per-node infection times (-1 while susceptible) and the step reached.  The
+state at t+1 is computed from the state at t.  Two update schemes exist,
+each implemented by one kernel that advances the infection times in place:
 
 * synchronous: every susceptible node u draws r_u ~ U(0,1) in ascending
   node-id order and becomes infected iff r_u < p_u, with all p_u computed
@@ -20,9 +21,15 @@ update schemes exist:
   (clamped to n-1); if w is susceptible a second draw r decides infection
   by the same strict r < p rule.  t advances by 1 either way.
 
-All draws come from an explicit numpy Generator, and ``run`` consumes the
-stream in exactly the order documented above, so trajectories are
-bit-reproducible from (graph, seeds, scheme, stream).
+A state is absorbed once every node is infected or, under the fixed and
+group rules, no susceptible node can ever gain positive probability.  An
+absorbed state draws nothing more; unless every node is infected, its
+trajectory is taken to the step cap, exactly as if stepping had continued.
+
+All draws come from an explicit numpy Generator in exactly the order
+documented above, so trajectories are bit-reproducible from (graph, seeds,
+scheme, stream).  A run leaves its generator just past its last draw.
+``step`` is one step of the same kernel that ``run`` uses.
 """
 from __future__ import annotations
 
@@ -73,33 +80,6 @@ def fixed(transmission_prob: float) -> ModelKind:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Immutable infection state at one step."""
-
-    infected: np.ndarray
-    t: int
-    infected_count: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.infected, dtype=bool)
-        arr.setflags(write=False)
-        object.__setattr__(self, "infected", arr)
-        if self.infected_count != int(arr.sum()):
-            raise ValueError("infected_count does not match the bit vector")
-
-    @classmethod
-    def from_seeds(cls, n: int, seed_nodes) -> "StateVector":
-        arr = np.zeros(n, dtype=bool)
-        arr[list(seed_nodes)] = True
-        return cls(arr, 0, int(arr.sum()))
-
-    def with_new_infections(self, nodes) -> "StateVector":
-        arr = self.infected.copy()
-        arr[list(nodes)] = True
-        return StateVector(arr, self.t + 1, int(arr.sum()))
-
-
-@dataclass(frozen=True)
 class SeedSet:
     """Initially infected nodes (non-empty, distinct, sorted)."""
 
@@ -138,20 +118,23 @@ def _fixed_prob_table(transmission_prob: float, max_degree: int) -> list:
     return [1.0 - q ** d for d in range(max_degree + 1)]
 
 
-def infection_probability(model: ModelKind, g: Graph, s: StateVector, u: int) -> float:
-    """Probability that susceptible node u becomes infected this step.
+def infection_probability(model: ModelKind, g: Graph, traj: Trajectory,
+                          u: int) -> float:
+    """Probability that susceptible node u becomes infected in the step
+    after ``traj``'s last one.
 
     Raises if u is out of range or already infected (contract violation).
     """
     u = int(u)
     if not 0 <= u < g.n:
         raise ValueError(f"node id {u} out of range [0, {g.n})")
-    if s.infected[u]:
+    infected = traj.infection_time >= 0
+    if infected[u]:
         raise ValueError(f"node {u} is already infected")
     if model.kind == "global":
-        return s.infected_count / g.n
+        return int(np.count_nonzero(infected)) / g.n
     neigh = g.in_neighbors(u)
-    d = int(np.count_nonzero(s.infected[neigh]))
+    d = int(np.count_nonzero(infected[neigh]))
     if model.kind == "group":
         return d / neigh.size if neigh.size else 0.0
     return 1.0 - (1.0 - model.transmission_prob) ** d
@@ -181,72 +164,61 @@ def _infected_in_counts(g: Graph, infected: np.ndarray) -> np.ndarray:
     return np.bincount(dst[mask], minlength=g.n).astype(np.int64)
 
 
-def step(model: ModelKind, g: Graph, s: StateVector, scheme: str,
-         rng: np.random.Generator) -> StateVector:
-    """Advance one step under the given scheme.  See the module docstring
-    for the exact draw order."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown update scheme {scheme!r}")
-    n = g.n
+def _kernel(scheme: str):
     if scheme == SYNCHRONOUS:
-        susceptible = np.flatnonzero(~s.infected)
-        if susceptible.size == 0:
-            return StateVector(s.infected, s.t + 1, s.infected_count)
-        inf_in = _infected_in_counts(g, s.infected)
-        p = _sync_probs(model, n, s.infected_count, inf_in, g.in_degrees, susceptible)
-        draws = rng.random(susceptible.size)
-        return s.with_new_infections(susceptible[draws < p])
+        return _run_synchronous
+    if scheme == ASYNC_SINGLE_NODE:
+        return _run_async
+    raise ValueError(f"unknown update scheme {scheme!r}")
 
-    u0 = rng.random()
-    w = min(int(u0 * n), n - 1)
-    if s.infected[w]:
-        return StateVector(s.infected, s.t + 1, s.infected_count)
-    r = rng.random()
-    if r < infection_probability(model, g, s, w):
-        return s.with_new_infections([w])
-    return StateVector(s.infected, s.t + 1, s.infected_count)
+
+def step(model: ModelKind, g: Graph, traj: Trajectory, scheme: str,
+         rng: np.random.Generator) -> Trajectory:
+    """Advance one step under the given scheme: one step of the kernel
+    ``run`` uses, from ``traj.steps_executed``.  Returns a new trajectory
+    one step longer; ``traj`` is left as it is."""
+    kernel = _kernel(scheme)
+    times = traj.infection_time.copy()
+    t = traj.steps_executed
+    kernel(model, g, times, t, t + 1, rng)
+    return Trajectory(n=g.n, infection_time=times, steps_executed=t + 1)
 
 
 def run(model: ModelKind, g: Graph, seeds: SeedSet, scheme: str,
         max_steps: int, rng: np.random.Generator) -> Trajectory:
     """Simulate until every node is infected or ``max_steps`` is reached.
 
-    Returns the full per-step infected-count series (length steps+1, index 0
-    counting the seeds) plus per-node first-infection times, -1 for nodes
-    never infected.  Once no susceptible node can ever gain positive
-    probability the remaining steps are skipped and the count series is
-    padded with its final value; the returned trajectory is identical to one
-    from stepping all the way to the cap.
+    Returns the per-node first-infection times (0 for seeds, -1 for nodes
+    never infected) and the last step: the step of the last infection when
+    every node is infected, else ``max_steps``.  An absorbed run stops
+    drawing at once but still ends at ``max_steps``, identical to stepping
+    all the way to the cap.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown update scheme {scheme!r}")
+    kernel = _kernel(scheme)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     n = g.n
     if seeds.nodes[-1] >= n:
         raise ValueError(f"seed node {seeds.nodes[-1]} out of range [0, {n})")
-
-    if scheme == SYNCHRONOUS:
-        counts, times = _run_synchronous(model, g, seeds, max_steps, rng)
-    else:
-        counts, times = _run_async(model, g, seeds, max_steps, rng)
-    return Trajectory(n=n, counts=counts, infection_time=times)
+    times = Trajectory.from_seeds(n, seeds.nodes).infection_time
+    end = kernel(model, g, times, 0, max_steps, rng)
+    return Trajectory(n=n, infection_time=times, steps_executed=end)
 
 
-def _run_synchronous(model, g, seeds, max_steps, rng):
+# Each kernel advances ``times`` in place from step t toward max_steps and
+# returns the last step: the step of the last infection when every node is
+# infected, else max_steps.
+
+
+def _run_synchronous(model, g, times, t, max_steps, rng):
     n = g.n
-    infected = np.zeros(n, dtype=bool)
-    infected[list(seeds.nodes)] = True
-    times = np.full(n, -1, dtype=np.int64)
-    times[list(seeds.nodes)] = 0
+    infected = times >= 0
     inf_in = _infected_in_counts(g, infected)
     in_deg = g.in_degrees
-    i_count = int(infected.sum())
-    counts = [i_count]
+    i_count = int(np.count_nonzero(infected))
     out_indptr = g._out_indptr
     out_indices = g._out_indices
 
-    t = 0
     while i_count < n and t < max_steps:
         susceptible = np.flatnonzero(~infected)
         p = _sync_probs(model, n, i_count, inf_in, in_deg, susceptible)
@@ -263,46 +235,38 @@ def _run_synchronous(model, g, seeds, max_steps, rng):
                 [out_indices[out_indptr[v]:out_indptr[v + 1]] for v in new])
             if touched.size:
                 inf_in += np.bincount(touched, minlength=n)
-        counts.append(i_count)
-
-    arr = np.asarray(counts, dtype=np.int64)
-    if i_count < n and arr.size < max_steps + 1:
-        arr = np.concatenate([arr, np.full(max_steps + 1 - arr.size, i_count,
-                                           dtype=np.int64)])
-    return arr, times
+    return t if i_count == n else max_steps
 
 
-def _run_async(model, g, seeds, max_steps, rng):
+_READ_AHEAD = 4096  # doubles drawn per block by the async kernel
+
+
+def _run_async(model, g, times, t, max_steps, rng):
     n = g.n
-    infected = bytearray(n)
-    for v in seeds.nodes:
-        infected[v] = 1
-    times = [-1] * n
-    for v in seeds.nodes:
-        times[v] = 0
+    infected_mask = times >= 0
+    infected = bytearray(infected_mask.tobytes())
+    i_count = int(np.count_nonzero(infected_mask))
     indptr = g._out_indptr.tolist()
     flat = g._out_indices.tolist()
     in_deg = g.in_degrees.tolist()
-    inf_in = [0] * n
-    for v in seeds.nodes:
-        for x in flat[indptr[v]:indptr[v + 1]]:
-            inf_in[x] += 1
-    boundary = sum(inf_in[u] for u in range(n) if not infected[u])
-    i_count = len(seeds.nodes)
+    inf_in_arr = _infected_in_counts(g, infected_mask)
+    boundary = int(inf_in_arr[~infected_mask].sum())
+    inf_in = inf_in_arr.tolist()
     kind = model.kind
     table = None
     if kind == "fixed":
         table = _fixed_prob_table(model.transmission_prob, max(in_deg, default=0))
 
-    event_times: list = []
+    bits = rng.bit_generator
+    start = None  # stream state before the current block was drawn
     buf: list = []
     bi = 0
-    t = 0
     absorbed = (kind != "global" and (boundary == 0 or (
         kind == "fixed" and model.transmission_prob == 0.0)))
     while not absorbed and i_count < n and t < max_steps:
         if bi == len(buf):
-            buf = rng.random(4096).tolist()
+            start = bits.state
+            buf = rng.random(_READ_AHEAD).tolist()
             bi = 0
         u0 = buf[bi]
         bi += 1
@@ -313,7 +277,8 @@ def _run_async(model, g, seeds, max_steps, rng):
         if infected[w]:
             continue
         if bi == len(buf):
-            buf = rng.random(4096).tolist()
+            start = bits.state
+            buf = rng.random(_READ_AHEAD).tolist()
             bi = 0
         r = buf[bi]
         bi += 1
@@ -328,7 +293,6 @@ def _run_async(model, g, seeds, max_steps, rng):
             infected[w] = 1
             i_count += 1
             times[w] = t
-            event_times.append(t)
             boundary -= inf_in[w]
             for x in flat[indptr[w]:indptr[w + 1]]:
                 inf_in[x] += 1
@@ -336,10 +300,7 @@ def _run_async(model, g, seeds, max_steps, rng):
                     boundary += 1
             if kind != "global" and boundary == 0:
                 absorbed = True
-
-    steps = t if i_count == n else max_steps
-    increments = np.bincount(np.asarray(event_times, dtype=np.int64),
-                             minlength=steps + 1) if event_times else \
-        np.zeros(steps + 1, dtype=np.int64)
-    counts = len(seeds.nodes) + np.cumsum(increments[:steps + 1])
-    return counts.astype(np.int64), np.asarray(times, dtype=np.int64)
+    if bi < len(buf):  # hand back the doubles read ahead but not used
+        bits.state = start
+        rng.random(bi)
+    return t if i_count == n else max_steps

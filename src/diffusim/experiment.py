@@ -282,7 +282,7 @@ class EnsembleResult:
 
 
 def _execute_run(config: SimConfig, g: Graph, run_index: int,
-                 collect_counts: bool):
+                 collect_curves: bool):
     rng = derive_run_rng(config.master_seed, run_index)
     seeds = dynamics.seed_random(g, config.seed_count, rng)
     traj = dynamics.run(config.model, g, seeds, config.scheme,
@@ -297,10 +297,11 @@ def _execute_run(config: SimConfig, g: Graph, run_index: int,
         final_infected=traj.final_infected,
         steps_executed=traj.steps_executed,
     )
-    return record, (traj.counts if collect_counts else None), g.n
+    history = (traj.sorted_times, traj.steps_executed) if collect_curves else None
+    return record, history, g.n
 
 
-def _run_group_chunk(configs, indices, collect_counts: bool):
+def _run_group_chunk(configs, indices, collect_curves: bool):
     """Run ``indices`` of every config in one graph-key group, run-major.
 
     Each run's graph is built once and shared by the configs that have
@@ -330,7 +331,7 @@ def _run_group_chunk(configs, indices, collect_counts: bool):
                 continue
         for c in live:
             try:
-                outputs[c].append(_execute_run(configs[c], g, i, collect_counts))
+                outputs[c].append(_execute_run(configs[c], g, i, collect_curves))
             except (ValueError, OSError) as exc:
                 errors[c] = exc
     return list(zip(outputs, errors))
@@ -367,7 +368,7 @@ def run_ensemble(config: SimConfig, workers: int = 1,
     return result
 
 
-def _execute(configs, workers: int, collect_counts: bool = False):
+def _execute(configs, workers: int, collect_curves: bool = False):
     """Run every config's ensemble, building each distinct graph once.
 
     Configs are grouped by graph key; a group is cut into run-index chunks
@@ -396,7 +397,7 @@ def _execute(configs, workers: int, collect_counts: bool = False):
         parts = mapper(_run_group_chunk,
                        [[configs[p] for p in members] for members, _, _ in tasks],
                        [indices for _, indices, _ in tasks],
-                       itertools.repeat(collect_counts))
+                       itertools.repeat(collect_curves))
         for (members, _, last), part in zip(tasks, parts):
             for position, (chunk_outputs, error) in zip(members, part):
                 if position not in errors:
@@ -408,16 +409,16 @@ def _execute(configs, workers: int, collect_counts: bool = False):
                     items = outputs.pop(position)
                     yield position, (errors[position] if position in errors else
                                      _ensemble(configs[position], items,
-                                               collect_counts))
+                                               collect_curves))
 
 
-def _ensemble(config: SimConfig, outputs, collect_counts: bool) -> EnsembleResult:
+def _ensemble(config: SimConfig, outputs, collect_curves: bool) -> EnsembleResult:
     records = tuple(item[0] for item in outputs)
     labels = [metric_label(m) for m in config.metrics]
     stats = tuple((label, _metric_stats(records, label)) for label in labels)
     n = outputs[0][2]
     curve = None
-    if collect_counts:
+    if collect_curves:
         curve = _accumulate_curve([item[1] for item in outputs], n=n,
                                   runs=config.runs)
     return EnsembleResult(records=records, stats=stats, curve=curve, n=n)
@@ -443,32 +444,23 @@ def _metric_stats(records, label: str) -> MetricStats:
                        censored_count=censored, runs=len(records))
 
 
-def _accumulate_curve(count_arrays, n: int, runs: int) -> CurveStats:
-    """Exact integer accumulation of per-step count sums and square sums.
+def _accumulate_curve(histories, n: int, runs: int) -> CurveStats:
+    """Exact integer per-step sums and square sums of the infected count.
 
-    Extending to a longer horizon credits already-processed runs with their
-    final count; integer sums are associative, so any processing order gives
-    identical bytes.
+    Each history is a run's sorted infection times and its last step.  The
+    sums are difference arrays over the longest run's horizon: the i-th
+    infection adds 1 to the count and 2i - 1 to its square, and a run that
+    ended earlier keeps its final count.  Integer sums are associative, so
+    any processing order gives identical bytes.
     """
-    sums = np.zeros(0, dtype=np.int64)
-    sumsq = np.zeros(0, dtype=np.int64)
-    done_final = 0
-    done_final_sq = 0
-    for counts in count_arrays:
-        length = counts.size
-        if length > sums.size:
-            grow = length - sums.size
-            sums = np.concatenate([sums, np.full(grow, done_final, dtype=np.int64)])
-            sumsq = np.concatenate([sumsq, np.full(grow, done_final_sq, dtype=np.int64)])
-        sums[:length] += counts
-        sumsq[:length] += counts * counts
-        final = int(counts[-1])
-        sums[length:] += final
-        sumsq[length:] += final * final
-        done_final += final
-        done_final_sq += final * final
-    mean_counts = sums / runs
-    var = sumsq / runs - mean_counts * mean_counts
+    horizon = max(steps for _, steps in histories) + 1
+    sums = np.zeros(horizon, dtype=np.int64)
+    sumsq = np.zeros(horizon, dtype=np.int64)
+    for times, _ in histories:
+        np.add.at(sums, times, 1)
+        np.add.at(sumsq, times, 2 * np.arange(1, times.size + 1, dtype=np.int64) - 1)
+    mean_counts = np.cumsum(sums) / runs
+    var = np.cumsum(sumsq) / runs - mean_counts * mean_counts
     std_counts = np.sqrt(np.clip(var, 0.0, None))
     return CurveStats(mean_fraction=mean_counts / n,
                       std_fraction=std_counts / n, runs=runs, n=n)

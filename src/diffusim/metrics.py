@@ -1,16 +1,17 @@
 """Spreading-time measurements over recorded trajectories.
 
-A Trajectory is what a single run leaves behind: the infected count at each
-step (counts[0] is the seed count) plus per-node infection times.  Metrics
-either yield a step count (``value``) or report that the target fraction was
-never reached before the trajectory ended (``censored``).  Censoring is kept
-explicit all the way up to the ensemble statistics; it is never silently
-swapped for the step limit.
+A Trajectory is what a single run leaves behind: per-node infection times
+plus the step the run ended at.  Metrics either yield a step count
+(``value``) or report that the target fraction was never reached before the
+trajectory ended (``censored``).  Censoring is kept explicit all the way up
+to the ensemble statistics; it is never silently swapped for the step
+limit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,40 +20,54 @@ import numpy as np
 class Trajectory:
     """Infection history of one run.
 
+    Infection is monotone, so the per-node infection times and the last
+    step describe the whole run.
+
     Attributes:
         n: Node count of the substrate graph.
-        counts: Infected count per step; counts[0] counts the seeds and the
-            series is non-decreasing.
-        infection_time: Per-node step at which the node became infected,
-            -1 for nodes still susceptible at the end.
+        infection_time: Per-node step at which the node became infected
+            (0 for seeds), -1 for nodes still susceptible at the end.
+        steps_executed: Number of update steps taken.
     """
 
     n: int
-    counts: np.ndarray
     infection_time: np.ndarray = field(repr=False)
+    steps_executed: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
         times = np.asarray(self.infection_time, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "infection_time", times)
-        if counts.size == 0:
-            raise ValueError("trajectory needs at least the t=0 observation")
+        if self.steps_executed < 0:
+            raise ValueError("steps_executed must be >= 0")
         if times.shape != (self.n,):
             raise ValueError("infection_time must have one entry per node")
-        if counts[0] < 1 or counts[-1] > self.n:
-            raise ValueError("counts out of range for n")
-        if np.any(np.diff(counts) < 0):
-            raise ValueError("infected counts must be non-decreasing")
+        if times.size and (times.min() < -1 or times.max() > self.steps_executed):
+            raise ValueError("infection times must lie within [-1, steps_executed]")
+
+    @classmethod
+    def from_seeds(cls, n: int, nodes) -> "Trajectory":
+        """The state at step 0: ``nodes`` infected, possibly none."""
+        times = np.full(n, -1, dtype=np.int64)
+        times[list(nodes)] = 0
+        return cls(n=n, infection_time=times, steps_executed=0)
+
+    @cached_property
+    def sorted_times(self) -> np.ndarray:
+        """Infection times of the infected nodes, ascending."""
+        times = self.infection_time
+        return np.sort(times[times >= 0])
 
     @property
-    def steps_executed(self) -> int:
-        """Number of update steps taken (observations minus the t=0 one)."""
-        return int(self.counts.size - 1)
+    def counts(self) -> np.ndarray:
+        """Infected count per step, t = 0..steps_executed, built on each
+        read; counts[0] counts the seeds."""
+        times = self.infection_time
+        return np.cumsum(np.bincount(times[times >= 0],
+                                     minlength=self.steps_executed + 1))
 
     @property
     def final_infected(self) -> int:
-        return int(self.counts[-1])
+        return int(np.count_nonzero(self.infection_time >= 0))
 
 
 @dataclass(frozen=True)
@@ -96,17 +111,17 @@ def fraction_threshold(n: int, f: float) -> int:
 
 
 def time_to_fraction(traj: Trajectory, f: float) -> MetricResult:
-    """First step at which the infected count reaches ceil(f*n).
+    """First step at which the infected count reaches ceil(f*n): the
+    ceil(f*n)-th smallest infection time.
 
     Seeds count: a seed set already past the threshold yields value(0).
     Returns censored_at(last step) if the trajectory never gets there.
     """
     threshold = fraction_threshold(traj.n, f)
-    # counts is non-decreasing, so the first index >= threshold is a bisect
-    t = int(np.searchsorted(traj.counts, threshold, side="left"))
-    if t == traj.counts.size:
+    times = traj.sorted_times
+    if threshold > times.size:
         return MetricResult.censored_at(traj.steps_executed)
-    return MetricResult.value(t)
+    return MetricResult.value(times[threshold - 1])
 
 
 def spread_time(traj: Trajectory, f_lo: float, f_hi: float) -> MetricResult:

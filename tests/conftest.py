@@ -6,6 +6,7 @@ import pytest
 
 from diffusim import dynamics
 from diffusim.graph import Graph
+from diffusim.metrics import Trajectory
 
 
 @pytest.fixture
@@ -20,7 +21,7 @@ def focal_fixture():
     ring = list(range(6, 13))
     arcs += [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
     g = Graph(13, arcs)
-    state = dynamics.StateVector.from_seeds(13, [1, 2])
+    state = Trajectory.from_seeds(13, [1, 2])
     return g, state
 
 

@@ -19,10 +19,11 @@ import pytest
 from diffusim import dynamics
 from diffusim.curvefit import (build_reference_curves, fit_series,
                                load_reference_config, normalize_series)
-from diffusim.dynamics import GLOBAL, GROUP, SeedSet, StateVector, fixed
+from diffusim.dynamics import GLOBAL, GROUP, SeedSet, fixed
 from diffusim.experiment import (SimConfig, global_count_distribution,
                                  run_ensemble)
 from diffusim.graph import Graph, GraphSpec
+from diffusim.metrics import Trajectory
 from diffusim.cli import main
 
 from conftest import make_random_instance, rng_for
@@ -46,13 +47,14 @@ class TestAcceptance:
         rng = rng_for(777)
         for _ in range(200):
             g, model, scheme, seeds = make_random_instance(rng)
-            state = StateVector.from_seeds(g.n, seeds.nodes)
-            previous_count = state.infected_count
+            state = Trajectory.from_seeds(g.n, seeds.nodes)
+            previous_count = state.final_infected
             for _ in range(25):
                 state_next = dynamics.step(model, g, state, scheme, rng)
-                assert np.all(state_next.infected >= state.infected)
-                assert state_next.infected_count >= previous_count
-                previous_count = state_next.infected_count
+                assert np.all((state_next.infection_time >= 0)
+                              >= (state.infection_time >= 0))
+                assert state_next.final_infected >= previous_count
+                previous_count = state_next.final_infected
                 state = state_next
 
     def test_global_ensemble_mean_matches_exact_markov_curve(self):

@@ -1,16 +1,18 @@
 """Infection probabilities, stepping schemes, and whole runs."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_random_instance, rng_for
 from diffusim import dynamics
 from diffusim.dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, ModelKind,
-                               SCHEMES, SYNCHRONOUS, SeedSet, StateVector,
-                               fixed, infection_probability, run, seed_random,
-                               step)
+                               SCHEMES, SYNCHRONOUS, SeedSet, fixed,
+                               infection_probability, run, seed_random, step)
 from diffusim.graph import Graph, complete_graph, directed_cycle, watts_strogatz
+from diffusim.metrics import Trajectory
 
 
 class TestModelKind:
@@ -109,7 +111,7 @@ class TestInfectionProbability:
 
     def test_group_zero_in_degree_is_zero(self):
         g = Graph(3, [(0, 1), (1, 2)])  # node 0 has no in-arcs
-        s = StateVector.from_seeds(3, [1, 2])
+        s = Trajectory.from_seeds(3, [1, 2])
         assert infection_probability(GROUP, g, s, 0) == 0.0
 
     def test_global_topology_independence(self):
@@ -117,15 +119,15 @@ class TestInfectionProbability:
                       lambda: directed_cycle(12),
                       lambda: watts_strogatz(12, 4, 0.3, rng_for(36))):
             g = build()
-            s = StateVector.from_seeds(12, [0, 5, 7])
+            s = Trajectory.from_seeds(12, [0, 5, 7])
             for u in range(12):
-                if not s.infected[u]:
+                if s.infection_time[u] < 0:
                     assert infection_probability(GLOBAL, g, s, u) == 3 / 12
 
     def test_complete_graph_bridge(self):
         n, infected = 20, [2, 4, 6, 8, 10]
         g = complete_graph(n)
-        s = StateVector.from_seeds(n, infected)
+        s = Trajectory.from_seeds(n, infected)
         assert infection_probability(GROUP, g, s, 0) == len(infected) / (n - 1)
         assert infection_probability(GLOBAL, g, s, 0) == len(infected) / n
 
@@ -133,9 +135,9 @@ class TestInfectionProbability:
         rng = rng_for(37)
         for _ in range(40):
             g, model, _, seeds = make_random_instance(rng)
-            s = StateVector.from_seeds(g.n, seeds.nodes)
+            s = Trajectory.from_seeds(g.n, seeds.nodes)
             for u in range(g.n):
-                if not s.infected[u]:
+                if s.infection_time[u] < 0:
                     p = infection_probability(model, g, s, u)
                     assert 0.0 <= p <= 1.0
 
@@ -143,33 +145,33 @@ class TestInfectionProbability:
 class TestStep:
     def test_cycle_group_one_infection_per_step(self):
         g = directed_cycle(10)
-        s = StateVector.from_seeds(10, [0])
+        s = Trajectory.from_seeds(10, [0])
         rng = rng_for(38)
         for t in range(1, 10):
             s = step(GROUP, g, s, SYNCHRONOUS, rng)
-            assert s.infected_count == 1 + t
-            assert s.t == t
+            assert s.final_infected == 1 + t
+            assert s.steps_executed == t
 
     def test_zero_infected_is_absorbing(self):
         g = complete_graph(6)
-        s = StateVector(np.zeros(6, dtype=bool), 0, 0)
+        s = Trajectory.from_seeds(6, [])
         rng = rng_for(39)
         for _ in range(50):
             s = step(GLOBAL, g, s, SYNCHRONOUS, rng)
-        assert s.infected_count == 0 and s.t == 50
+        assert s.final_infected == 0 and s.steps_executed == 50
 
     def test_infected_stay_infected(self):
         rng = rng_for(40)
         g, model, scheme, seeds = make_random_instance(rng)
-        s = StateVector.from_seeds(g.n, seeds.nodes)
+        s = Trajectory.from_seeds(g.n, seeds.nodes)
         for _ in range(30):
-            before = s.infected
+            before = s.infection_time >= 0
             s = step(model, g, s, scheme, rng)
-            assert np.all(s.infected[before])  # no bit ever flips back
+            assert np.all(s.infection_time[before] >= 0)  # none reverts
 
     def test_unknown_scheme_rejected(self):
         g = directed_cycle(3)
-        s = StateVector.from_seeds(3, [0])
+        s = Trajectory.from_seeds(3, [0])
         with pytest.raises(ValueError, match="scheme"):
             step(GROUP, g, s, "waves", rng_for(41))
 
@@ -242,8 +244,9 @@ class TestRun:
             run(GROUP, g, SeedSet((0,)), "diagonal", 10, rng_for(53))
 
     def test_run_matches_repeated_step_exactly(self):
-        # run() optimizes the inner loops but must consume the stream in
-        # the documented order, bit-for-bit equal to the public step()
+        # run() must consume the stream in the documented order, bit for
+        # bit equal to the public step(), and leave it just past its last
+        # draw (the async kernel's read-ahead is handed back)
         g = watts_strogatz(30, 4, 0.2, rng_for(54))
         seeds = SeedSet((3, 11))
         for scheme in SCHEMES:
@@ -251,17 +254,14 @@ class TestRun:
                 rng_run = np.random.default_rng(77)
                 rng_step = np.random.default_rng(77)
                 traj = run(model, g, seeds, scheme, 400, rng_run)
-                s = StateVector.from_seeds(30, seeds.nodes)
-                counts = [s.infected_count]
-                times = np.full(30, -1, dtype=np.int64)
-                times[list(seeds.nodes)] = 0
-                while s.infected_count < 30 and s.t < 400:
-                    before = s.infected
+                s = Trajectory.from_seeds(30, seeds.nodes)
+                counts = [s.final_infected]
+                while s.final_infected < 30 and s.steps_executed < 400:
                     s = step(model, g, s, scheme, rng_step)
-                    times[s.infected & ~before] = s.t
-                    counts.append(s.infected_count)
+                    counts.append(s.final_infected)
                 assert traj.counts.tolist() == counts[:traj.counts.size]
-                assert traj.infection_time.tolist() == times.tolist()
+                assert traj.infection_time.tolist() == s.infection_time.tolist()
+                assert rng_run.random() == rng_step.random()
 
     def test_monotone_counts_property(self):
         rng = rng_for(55)
@@ -273,3 +273,22 @@ class TestRun:
             assert traj.counts[0] == len(seeds.nodes)
             infected_at_end = traj.infection_time >= 0
             assert infected_at_end.sum() == traj.final_infected
+
+    def test_early_stop_memory_does_not_grow_with_the_cap(self):
+        # fixed(0) is absorbed at once; the trajectory still ends at the
+        # cap, but nothing may be sized by it (a dense count series of
+        # 2,000,001 int64s would take 16 MB)
+        g = directed_cycle(2000)
+        for scheme in SCHEMES:
+            # warm up: the first run makes one-off lazy imports
+            run(fixed(0.0), g, SeedSet((0,)), scheme, 1, rng_for(56))
+            tracemalloc.start()
+            try:
+                traj = run(fixed(0.0), g, SeedSet((0,)), scheme, 2_000_000,
+                           rng_for(56))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+            assert traj.steps_executed == 2_000_000
+            assert traj.final_infected == 1

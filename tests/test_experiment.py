@@ -3,14 +3,15 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diffusim import experiment
-from diffusim.dynamics import GLOBAL, GROUP, ModelKind, fixed
+from diffusim.dynamics import GLOBAL, GROUP, SCHEMES, ModelKind, fixed
 from diffusim.graph import GraphSpec, directed_cycle, save_edge_list
 from diffusim.experiment import (SimConfig, SweepCell, config_from_dict,
                                  config_to_dict,
@@ -301,6 +302,24 @@ class TestRunEnsemble:
                               padded.mean(axis=0) / 40)
         assert np.allclose(result.curve.std_fraction,
                            padded.std(axis=0) / 40, atol=1e-12)
+
+    def test_early_stop_memory_does_not_grow_with_the_cap(self):
+        # every run is absorbed at once; without curves nothing may be
+        # sized by the 2,000,000-step cap
+        for scheme in SCHEMES:
+            cfg = SimConfig(graph=GraphSpec("directed_cycle", n=2000),
+                            model=fixed(0.0), scheme=scheme, master_seed=6,
+                            runs=3, max_steps=2_000_000)
+            # warm up: the first run makes one-off lazy imports
+            run_ensemble(replace(cfg, max_steps=1))
+            tracemalloc.start()
+            try:
+                result = run_ensemble(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+            assert [r.steps_executed for r in result.records] == [2_000_000] * 3
 
     def test_curve_bytes_identical_across_workers(self):
         cfg = SimConfig(graph=GraphSpec("watts_strogatz", n=40, k=6, beta=0.1),

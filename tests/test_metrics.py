@@ -13,38 +13,50 @@ from diffusim.metrics import (MetricResult, Trajectory, adoption_curve,
 
 
 def traj_from_counts(counts, n):
-    """Build a Trajectory with consistent (if arbitrary) infection times."""
+    """Build the Trajectory whose infected count per step is ``counts``
+    (non-decreasing, counts[-1] <= n), giving nodes infection times in
+    node-id order."""
     counts = np.asarray(counts)
     times = np.full(n, -1, dtype=np.int64)
     filled = 0
     for t, c in enumerate(counts):
         times[filled:c] = t
         filled = c
-    return Trajectory(n=n, counts=counts, infection_time=times)
+    traj = Trajectory(n=n, infection_time=times, steps_executed=counts.size - 1)
+    assert traj.counts.tolist() == counts.tolist()
+    return traj
 
 
 class TestTrajectoryType:
-    def test_rejects_decreasing_counts(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            traj_from_counts([3, 2], 10)
+    def test_rejects_time_below_minus_one(self):
+        with pytest.raises(ValueError, match="within"):
+            Trajectory(n=3, infection_time=[0, -2, 1], steps_executed=2)
 
-    def test_rejects_empty_counts(self):
-        with pytest.raises(ValueError):
-            Trajectory(n=5, counts=np.array([], dtype=np.int64),
-                       infection_time=np.full(5, -1))
+    def test_rejects_time_after_last_step(self):
+        with pytest.raises(ValueError, match="within"):
+            Trajectory(n=3, infection_time=[0, 3, -1], steps_executed=2)
 
-    def test_rejects_count_above_n(self):
-        with pytest.raises(ValueError):
-            traj_from_counts([1, 11], 10)
+    def test_rejects_negative_steps_executed(self):
+        with pytest.raises(ValueError, match="steps_executed"):
+            Trajectory(n=2, infection_time=[-1, -1], steps_executed=-1)
 
     def test_rejects_wrong_infection_time_shape(self):
         with pytest.raises(ValueError, match="per node"):
-            Trajectory(n=5, counts=np.array([1]), infection_time=np.full(4, -1))
+            Trajectory(n=5, infection_time=np.full(4, -1), steps_executed=0)
 
     def test_accessors(self):
         traj = traj_from_counts([2, 5, 9], 10)
         assert traj.steps_executed == 2
         assert traj.final_infected == 9
+
+    def test_counts_derive_from_times(self):
+        traj = Trajectory(n=5, infection_time=[2, 0, -1, 2, 1], steps_executed=4)
+        assert traj.counts.tolist() == [1, 2, 4, 4, 4]
+        assert traj.sorted_times.tolist() == [0, 1, 2, 2]
+        assert traj.final_infected == 4
+        empty = Trajectory.from_seeds(4, [])  # nobody infected is a state too
+        assert empty.counts.tolist() == [0] and empty.final_infected == 0
+        assert time_to_fraction(empty, 0.25) == MetricResult.censored_at(0)
 
 
 class TestMetricResult:
