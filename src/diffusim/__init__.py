@@ -19,8 +19,7 @@ from .graph import (Graph, GraphSpec, barabasi_albert, build_graph,
 from .metrics import (MetricResult, Trajectory, adoption_curve, spread_time,
                       time_to_fraction)
 from .experiment import (EnsembleResult, RunRecord, SimConfig,
-                         derive_graph_rng, derive_run_rng, global_count_dp,
-                         run_ensemble, sweep)
+                         derive_graph_rng, derive_run_rng, run_ensemble, sweep)
 from .curvefit import (FitResult, ReferenceCurve, build_reference_curves,
                        fit_series, normalize_series)
 
@@ -32,7 +31,7 @@ __all__ = [
     "FitResult", "ReferenceCurve",
     "adoption_curve", "barabasi_albert", "build_graph", "build_reference_curves",
     "complete_graph", "derive_graph_rng", "derive_run_rng", "directed_cycle",
-    "fit_series", "fixed", "global_count_dp", "infection_probability",
+    "fit_series", "fixed", "infection_probability",
     "load_edge_list", "normalize_series", "run", "run_ensemble",
     "save_edge_list", "seed_random", "spread_time", "step", "sweep",
     "time_to_fraction", "watts_strogatz",

@@ -37,9 +37,9 @@ from . import __version__
 from .curvefit import (build_reference_curves, fit_series,
                        load_reference_config, normalize_series)
 from .experiment import (EnsembleResult, SimConfig, config_from_dict,
-                         derive_graph_rng, run_ensemble, set_dotted, sweep,
+                         run_ensemble, run_graph, set_dotted, sweep,
                          worker_count)
-from .graph import build_graph, save_edge_list
+from .graph import save_edge_list
 from .metrics import metric_label
 
 HEADLINE_FRACTION = 0.01
@@ -54,13 +54,9 @@ FIT_COLUMNS = ["model", "sse", "time_scale", "time_offset", "amplitude", "best"]
 CURVE_COLUMNS = ["t", "mean_fraction", "std_fraction"]
 
 
-class ConfigError(ValueError):
-    """Usage or validation failure; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); that code means I/O here
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 # -- formatting and atomic writes ---------------------------------------------
@@ -108,11 +104,11 @@ def write_csv(path, header, rows) -> None:
 
 def _parse_override(text: str) -> tuple:
     if "=" not in text:
-        raise ConfigError(f"override {text!r} is not of the form key=value")
+        raise ValueError(f"override {text!r} is not of the form key=value")
     key, _, raw = text.partition("=")
     key = key.strip()
     if not key:
-        raise ConfigError(f"override {text!r} has an empty key")
+        raise ValueError(f"override {text!r} has an empty key")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
@@ -126,9 +122,9 @@ def load_config_document(path: str, overrides) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+        raise ValueError(f"{path}: top level must be a JSON object")
     for item in overrides or []:
         key, value = _parse_override(item)
         set_dotted(doc, key, value)
@@ -192,21 +188,21 @@ def cmd_sweep(args) -> int:
     doc = load_config_document(args.config, args.set)
     for key in doc:
         if key not in ("base", "axes"):
-            raise ConfigError(f"{key}: unknown sweep config key")
+            raise ValueError(f"{key}: unknown sweep config key")
     if "base" not in doc or "axes" not in doc:
-        raise ConfigError("sweep config needs 'base' and 'axes'")
+        raise ValueError("sweep config needs 'base' and 'axes'")
     axes_doc = doc["axes"]
     if not isinstance(axes_doc, dict) or not axes_doc:
-        raise ConfigError("axes: expected a non-empty object of key -> values")
+        raise ValueError("axes: expected a non-empty object of key -> values")
     axes = []
     for key, values in axes_doc.items():
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"axes.{key}: expected a non-empty list")
+            raise ValueError(f"axes.{key}: expected a non-empty list")
         axes.append((key, values))
     try:
         base = config_from_dict(doc["base"])
     except ValueError as exc:
-        raise ConfigError(f"base.{exc}") from None
+        raise ValueError(f"base.{exc}") from None
 
     outdir = _prepare_outdir(args.out)
     cells = sweep(base, axes, workers=worker_count())
@@ -235,27 +231,27 @@ def read_series_csv(path: str) -> np.ndarray:
     rows = list(csv.reader(text.splitlines()))
     rows = [row for row in rows if row and any(col.strip() for col in row)]
     if not rows:
-        raise ConfigError(f"{path}: empty series file")
+        raise ValueError(f"{path}: empty series file")
     header = [col.strip().lower() for col in rows[0]]
     if header == ["t", "value"]:
         column = 1
     elif header == ["value"]:
         column = 0
     else:
-        raise ConfigError(f"{path}: header must be 't,value' or 'value', "
-                          f"got {rows[0]!r}")
+        raise ValueError(f"{path}: header must be 't,value' or 'value', "
+                         f"got {rows[0]!r}")
     values = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise ConfigError(f"{path}: line {lineno}: expected "
-                              f"{len(header)} column(s)")
+            raise ValueError(f"{path}: line {lineno}: expected "
+                             f"{len(header)} column(s)")
         try:
             values.append(float(row[column]))
         except ValueError:
-            raise ConfigError(f"{path}: line {lineno}: not a number: "
-                              f"{row[column]!r}") from None
+            raise ValueError(f"{path}: line {lineno}: not a number: "
+                             f"{row[column]!r}") from None
     if not values:
-        raise ConfigError(f"{path}: series has a header but no rows")
+        raise ValueError(f"{path}: series has a header but no rows")
     return np.asarray(values)
 
 
@@ -265,9 +261,9 @@ def cmd_fit(args) -> int:
         reference = parse_config(args.config, args.set)
     else:
         if args.set:
-            raise ConfigError("--set requires --config (there is no file "
-                              "to override when fitting against the "
-                              "packaged reference)")
+            raise ValueError("--set requires --config (there is no file "
+                             "to override when fitting against the "
+                             "packaged reference)")
         reference = load_reference_config()
     obs = normalize_series(raw)
     curves = build_reference_curves(reference, workers=worker_count())
@@ -286,10 +282,7 @@ def cmd_fit(args) -> int:
 def cmd_gen_graph(args) -> int:
     config = parse_config(args.config, args.set)
     outdir = _prepare_outdir(args.out)
-    rng = None
-    if config.graph.is_random:
-        rng = derive_graph_rng(config.master_seed, 0)
-    g = build_graph(config.graph, rng)
+    g = run_graph(config, 0)
     target = outdir / "graph.edges"
     with atomic_open(target) as handle:
         save_edge_list(g, handle)
@@ -360,7 +353,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # ConfigError and EdgeListError among them
+    except ValueError as exc:  # EdgeListError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -28,6 +28,13 @@ from .experiment import SimConfig, config_from_dict, run_ensemble
 
 MODEL_ORDER = ("fixed", "group", "global")
 
+# Deterministic starting lattice for the refinement: the time offsets are
+# OFFSET_POINTS evenly spaced values spanning +-L/4 of the reference curve
+# length L (always containing 0).
+TIME_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
+OFFSET_POINTS = 9
+AMPLITUDES = (0.5, 0.75, 1.0)
+
 
 def normalize_series(values) -> np.ndarray:
     """Scale a non-negative series by its maximum into [0, 1].
@@ -94,19 +101,6 @@ def build_reference_curves(config: SimConfig, workers: int = 1) -> tuple:
 
 
 @dataclass(frozen=True)
-class FitGrid:
-    """Deterministic starting lattice for the refinement.
-
-    ``time_offsets=None`` means a 9-point grid spanning +-L/4 of the
-    reference curve length L (always containing 0).
-    """
-
-    time_scales: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
-    time_offsets: tuple | None = None
-    amplitudes: tuple = (0.5, 0.75, 1.0)
-
-
-@dataclass(frozen=True)
 class ModelFit:
     model: str
     sse: float
@@ -133,15 +127,13 @@ def _sse(obs: np.ndarray, curve: np.ndarray, a: float, b: float, c: float) -> fl
     return float(diff @ diff)
 
 
-def _fit_one(obs: np.ndarray, curve: np.ndarray, grid: FitGrid) -> tuple:
+def _fit_one(obs: np.ndarray, curve: np.ndarray) -> tuple:
     length = curve.size
-    offsets = grid.time_offsets
-    if offsets is None:
-        offsets = tuple(np.linspace(-length / 4.0, length / 4.0, 9))
+    offsets = tuple(np.linspace(-length / 4.0, length / 4.0, OFFSET_POINTS))
     best = None
-    for a in grid.time_scales:
+    for a in TIME_SCALES:
         for b in offsets:
-            for c in grid.amplitudes:
+            for c in AMPLITUDES:
                 sse = _sse(obs, curve, a, b, c)
                 if best is None or sse < best[0]:
                     best = (sse, float(a), float(b), float(c))
@@ -166,7 +158,7 @@ def _fit_one(obs: np.ndarray, curve: np.ndarray, grid: FitGrid) -> tuple:
     return sse, a, b, c
 
 
-def fit_series(obs, refs, grid: FitGrid | None = None) -> FitResult:
+def fit_series(obs, refs) -> FitResult:
     """Fit a normalized observed series against the reference curves.
 
     ``obs`` is a 1-D normalized series of length >= 8 (see
@@ -178,15 +170,13 @@ def fit_series(obs, refs, grid: FitGrid | None = None) -> FitResult:
         raise ValueError("fit needs a 1-D series of at least 8 points")
     if not np.all(np.isfinite(obs)):
         raise ValueError("fit needs finite values")
-    if grid is None:
-        grid = FitGrid()
     by_name = {ref.model: ref for ref in refs}
     if set(by_name) != set(MODEL_ORDER):
         raise ValueError("expected exactly one reference curve per model")
 
     table = []
     for name in MODEL_ORDER:
-        sse, a, b, c = _fit_one(obs, by_name[name].curve, grid)
+        sse, a, b, c = _fit_one(obs, by_name[name].curve)
         table.append(ModelFit(model=name, sse=sse, time_scale=a,
                               time_offset=b, amplitude=c))
     best = min(table, key=lambda m: (m.sse, MODEL_ORDER.index(m.model)))

@@ -226,8 +226,6 @@ class RunRecord:
     """Outcome of one run; reproducible from (config, run_index)."""
 
     run_index: int
-    graph_fingerprint: str
-    seed_nodes: tuple
     metric_results: tuple  # ((label, MetricResult), ...) in config order
     final_infected: int
     steps_executed: int
@@ -263,8 +261,6 @@ class CurveStats:
 
     mean_fraction: np.ndarray
     std_fraction: np.ndarray
-    runs: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -273,12 +269,6 @@ class EnsembleResult:
     stats: tuple  # ((label, MetricStats), ...) in config metric order
     curve: CurveStats | None
     n: int
-
-    def stat(self, label: str) -> MetricStats:
-        for name, stats in self.stats:
-            if name == label:
-                return stats
-        raise KeyError(label)
 
 
 def _execute_run(config: SimConfig, g: Graph, run_index: int,
@@ -291,14 +281,22 @@ def _execute_run(config: SimConfig, g: Graph, run_index: int,
                     for m in config.metrics)
     record = RunRecord(
         run_index=run_index,
-        graph_fingerprint=g.fingerprint(),
-        seed_nodes=seeds.nodes,
         metric_results=results,
         final_infected=traj.final_infected,
         steps_executed=traj.steps_executed,
     )
     history = (traj.sorted_times, traj.steps_executed) if collect_curves else None
     return record, history, g.n
+
+
+def run_graph(config: SimConfig, run_index: int) -> Graph:
+    """The graph run ``run_index`` uses: a random graph is drawn from graph
+    stream ``run_index``, or from index 0's when it is shared by all runs."""
+    rng = None
+    if config.graph.is_random:
+        shared = not config.regenerate_graph_per_run
+        rng = derive_graph_rng(config.master_seed, 0 if shared else run_index)
+    return build_graph(config.graph, rng)
 
 
 def _run_group_chunk(configs, indices, collect_curves: bool):
@@ -320,11 +318,8 @@ def _run_group_chunk(configs, indices, collect_curves: bool):
         if not live:
             continue
         if g is None or regenerate:
-            rng = None
-            if first.graph.is_random:  # a shared graph uses index 0's stream
-                rng = derive_graph_rng(first.master_seed, i if regenerate else 0)
             try:
-                g = build_graph(first.graph, rng)
+                g = run_graph(first, i)
             except (ValueError, OSError) as exc:
                 for c in live:
                     errors[c] = exc
@@ -337,9 +332,9 @@ def _run_group_chunk(configs, indices, collect_curves: bool):
     return list(zip(outputs, errors))
 
 
-def worker_count(env=None) -> int:
+def worker_count() -> int:
     """Worker cap from DIFFUSIM_THREADS (0 = one per CPU; unset = 1)."""
-    raw = (os.environ if env is None else env).get("DIFFUSIM_THREADS")
+    raw = os.environ.get("DIFFUSIM_THREADS")
     if raw is None or raw == "":
         return 1
     try:
@@ -373,9 +368,10 @@ def _execute(configs, workers: int, collect_curves: bool = False):
 
     Configs are grouped by graph key; a group is cut into run-index chunks
     (one chunk when serial, else ceil(runs / (4 * workers)) runs each) that
-    run in one process pool.  Yields (config position, EnsembleResult or
-    the exception of its first failing run) as soon as a group's last
-    chunk is in, so only one group's records are held at a time.
+    run in one process pool, never of more workers than chunks.  Yields
+    (config position, EnsembleResult or the exception of its first failing
+    run) as soon as a group's last chunk is in, so only one group's records
+    are held at a time.
     """
     groups = {}  # configs with equal keys draw the same graph for every run
     for position, config in enumerate(configs):
@@ -393,7 +389,8 @@ def _execute(configs, workers: int, collect_curves: bool = False):
     with contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1 and len(tasks) > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+            mapper = stack.enter_context(pool).map
         parts = mapper(_run_group_chunk,
                        [[configs[p] for p in members] for members, _, _ in tasks],
                        [indices for _, indices, _ in tasks],
@@ -462,8 +459,7 @@ def _accumulate_curve(histories, n: int, runs: int) -> CurveStats:
     mean_counts = np.cumsum(sums) / runs
     var = np.cumsum(sumsq) / runs - mean_counts * mean_counts
     std_counts = np.sqrt(np.clip(var, 0.0, None))
-    return CurveStats(mean_fraction=mean_counts / n,
-                      std_fraction=std_counts / n, runs=runs, n=n)
+    return CurveStats(mean_fraction=mean_counts / n, std_fraction=std_counts / n)
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -475,7 +471,6 @@ class SweepCell:
 
     assignments: tuple  # ((dotted_key, value), ...) in declared axis order
     stats: tuple | None  # as EnsembleResult.stats, None on failure
-    runs: int
     error: str | None = None
 
 
@@ -510,52 +505,10 @@ def sweep(base: SimConfig, axes, workers: int = 1) -> list:
             outcome = str(exc)
         grid.append((tuple(zip(keys, combo)), outcome))
 
-    done = {}  # only the stats are kept, so records never pile up
+    done = {}  # (stats, error) only, so records never pile up
     for position, result in _execute(configs, workers):
-        if isinstance(result, Exception):
-            done[position] = dict(stats=None, runs=0, error=str(result))
-        else:
-            done[position] = dict(stats=result.stats, runs=configs[position].runs)
-    return [SweepCell(assignments=assignments,
-                      **(done[outcome] if isinstance(outcome, int)
-                         else dict(stats=None, runs=0, error=outcome)))
+        failed = isinstance(result, Exception)
+        done[position] = (None, str(result)) if failed else (result.stats, None)
+    return [SweepCell(assignments, *(done[outcome] if isinstance(outcome, int)
+                                     else (None, outcome)))
             for assignments, outcome in grid]
-
-
-# -- exact oracle for the global-model count process --------------------------
-
-
-def global_count_distribution(n: int, i0: int, steps: int) -> np.ndarray:
-    """Exact distribution of the synchronous global-model infected count.
-
-    Row t holds P(I_t = i) for i = 0..n, propagated through
-    I_{t+1} = I_t + Binomial(n - I_t, I_t / n).  O(steps * n^2); intended
-    for desk-scale n as a test oracle.
-    """
-    from scipy.stats import binom
-
-    if not 0 <= i0 <= n:
-        raise ValueError("i0 must be within [0, n]")
-    dist = np.zeros(n + 1)
-    dist[i0] = 1.0
-    out = np.empty((steps + 1, n + 1))
-    out[0] = dist
-    for t in range(1, steps + 1):
-        nxt = np.zeros(n + 1)
-        nxt[0] = dist[0]
-        nxt[n] = dist[n]
-        for i in range(1, n):
-            mass = dist[i]
-            if mass == 0.0:
-                continue
-            pmf = binom.pmf(np.arange(n - i + 1), n - i, i / n)
-            nxt[i:] += mass * pmf
-        dist = nxt
-        out[t] = dist
-    return out
-
-
-def global_count_dp(n: int, i0: int, steps: int) -> np.ndarray:
-    """E[I_t] for t = 0..steps under the exact global-count chain."""
-    dist = global_count_distribution(n, i0, steps)
-    return dist @ np.arange(n + 1, dtype=np.float64)

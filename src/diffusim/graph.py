@@ -266,11 +266,8 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
             edges.append((t, v))
             endpoints.extend((t, v))
 
-    arcs = np.empty((2 * len(edges), 2), dtype=np.int64)
-    for idx, (a, b) in enumerate(edges):
-        arcs[2 * idx] = (a, b)
-        arcs[2 * idx + 1] = (b, a)
-    return Graph(n, arcs)
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return Graph(n, np.concatenate([pairs, pairs[:, ::-1]]))
 
 
 def complete_graph(n: int) -> Graph:

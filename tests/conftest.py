@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diffusim import dynamics
+from diffusim import dynamics, experiment
 from diffusim.graph import Graph
 from diffusim.metrics import Trajectory
 
@@ -23,6 +23,20 @@ def focal_fixture():
     g = Graph(13, arcs)
     state = Trajectory.from_seeds(13, [1, 2])
     return g, state
+
+
+@pytest.fixture
+def built_graphs(monkeypatch):
+    """Every graph the in-process executor builds, in build order."""
+    built = []
+    build = experiment.build_graph
+
+    def recording_build(spec, rng=None):
+        built.append(build(spec, rng))
+        return built[-1]
+
+    monkeypatch.setattr(experiment, "build_graph", recording_build)
+    return built
 
 
 def rng_for(label: int) -> np.random.Generator:

@@ -20,13 +20,13 @@ from diffusim import dynamics
 from diffusim.curvefit import (build_reference_curves, fit_series,
                                load_reference_config, normalize_series)
 from diffusim.dynamics import GLOBAL, GROUP, SeedSet, fixed
-from diffusim.experiment import (SimConfig, global_count_distribution,
-                                 run_ensemble)
+from diffusim.experiment import SimConfig, run_ensemble
 from diffusim.graph import Graph, GraphSpec
 from diffusim.metrics import Trajectory
 from diffusim.cli import main
 
 from conftest import make_random_instance, rng_for
+from markov_oracle import global_count_distribution
 
 ROOT = Path(__file__).resolve().parents[1]
 

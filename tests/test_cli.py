@@ -212,6 +212,22 @@ class TestGenGraph:
         assert (out1 / "graph.edges").read_bytes() == \
             (out2 / "graph.edges").read_bytes()
 
+    @pytest.mark.parametrize("regenerate", [True, False])
+    def test_writes_the_graph_run_zero_uses(self, tmp_path, monkeypatch,
+                                            built_graphs, regenerate):
+        monkeypatch.delenv("DIFFUSIM_THREADS", raising=False)  # serial
+        config = write_config(tmp_path / "c.json",
+                              regenerate_graph_per_run=regenerate)
+        assert main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 0
+        run_graphs = list(built_graphs)
+        assert len(run_graphs) == (5 if regenerate else 1)
+        if regenerate:
+            assert run_graphs[1] != run_graphs[0]
+        assert main(["gen-graph", "--config", str(config),
+                     "--out", str(tmp_path / "gen")]) == 0
+        assert load_edge_list(tmp_path / "gen" / "graph.edges") == run_graphs[0]
+
 
 class TestSweepCommand:
     def write_sweep(self, tmp_path, axes=None, **base_overrides):

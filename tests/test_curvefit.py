@@ -6,7 +6,7 @@ import pytest
 
 from diffusim.dynamics import GROUP
 from diffusim.experiment import config_to_dict, config_from_dict
-from diffusim.curvefit import (FitGrid, ReferenceCurve, build_reference_curves,
+from diffusim.curvefit import (ReferenceCurve, build_reference_curves,
                                fit_series, load_reference_config,
                                normalize_series)
 
@@ -168,10 +168,3 @@ class TestFitSeries:
         duplicated = (refs[0], refs[0], refs[1])
         with pytest.raises(ValueError, match="one reference curve per model"):
             fit_series(np.linspace(0, 1, 10), duplicated)
-
-    def test_custom_grid_is_honored(self, refs):
-        grid = FitGrid(time_scales=(1.0,), time_offsets=(0.0,),
-                       amplitudes=(1.0,))
-        result = fit_series(refs[1].curve, refs, grid=grid)
-        assert result.best_model == "group"
-        assert result.sse == 0.0

@@ -16,9 +16,10 @@ from diffusim.graph import GraphSpec, directed_cycle, save_edge_list
 from diffusim.experiment import (SimConfig, SweepCell, config_from_dict,
                                  config_to_dict,
                                  config_fingerprint, derive_graph_rng,
-                                 derive_run_rng, global_count_distribution,
-                                 global_count_dp, run_ensemble, set_dotted,
+                                 derive_run_rng, run_ensemble, set_dotted,
                                  sweep, worker_count)
+
+from markov_oracle import global_count_distribution, global_count_dp
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -254,13 +255,18 @@ class TestRunEnsemble:
         assert stats.mean is None and stats.std is None and stats.cv is None
         assert stats.censored_count == 10
 
-    def test_fixed_graph_reuse_vs_regeneration(self):
+    def test_fixed_graph_reuse_vs_regeneration(self, built_graphs):
         base = dict(graph=GraphSpec("watts_strogatz", n=40, k=4, beta=0.3),
                     model=GLOBAL, master_seed=5, runs=6, metrics=(0.5,))
-        reused = run_ensemble(SimConfig(regenerate_graph_per_run=False, **base))
-        assert len({rec.graph_fingerprint for rec in reused.records}) == 1
-        fresh = run_ensemble(SimConfig(regenerate_graph_per_run=True, **base))
-        assert len({rec.graph_fingerprint for rec in fresh.records}) > 1
+        shared_config = SimConfig(regenerate_graph_per_run=False, **base)
+        run_ensemble(shared_config)
+        [shared] = built_graphs
+        assert experiment.run_graph(shared_config, 5) == shared
+        built_graphs.clear()
+        run_ensemble(SimConfig(regenerate_graph_per_run=True, **base))
+        assert len(built_graphs) == 6
+        assert built_graphs[0] == shared  # a shared graph is run 0's
+        assert any(g != shared for g in built_graphs[1:])
 
     def test_file_graph_ensemble(self, tmp_path):
         path = tmp_path / "ring.edges"
@@ -329,6 +335,27 @@ class TestRunEnsemble:
         assert a.curve.mean_fraction.tobytes() == b.curve.mean_fraction.tobytes()
         assert a.curve.std_fraction.tobytes() == b.curve.std_fraction.tobytes()
 
+    def test_pool_never_exceeds_the_task_count(self, monkeypatch):
+        requested = []
+
+        class SerialExecutor:  # records the pool size; starts no process
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialExecutor)
+        cfg = cycle_config(runs=2)
+        assert run_ensemble(cfg, workers=64) == run_ensemble(cfg)
+        assert requested == [2]
+
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.delenv("DIFFUSIM_THREADS", raising=False)
         assert worker_count() == 1
@@ -357,7 +384,7 @@ class TestSweep:
         assert combos == [(40, "group"), (40, "global"),
                           (60, "group"), (60, "global")]
         assert all(cell.error is None for cell in cells)
-        assert all(cell.runs == 2 for cell in cells)
+        assert all(cell.stats[0][1].runs == 2 for cell in cells)
 
     def test_single_axis_two_models(self):
         cells = sweep(self.base(), [("model", ["group", "global"])])
@@ -395,12 +422,12 @@ class TestGroupedSweep:
         try:
             config = config_from_dict(doc)
         except ValueError as exc:
-            return SweepCell(assignments, None, 0, str(exc))
+            return SweepCell(assignments, None, str(exc))
         try:
             result = run_ensemble(config)
         except (ValueError, OSError) as exc:
-            return SweepCell(assignments, None, 0, str(exc))
-        return SweepCell(assignments, result.stats, config.runs)
+            return SweepCell(assignments, None, str(exc))
+        return SweepCell(assignments, result.stats)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_each_cell_run_alone(self, tmp_path, workers):
@@ -431,26 +458,18 @@ class TestGroupedSweep:
         assert all((c.error is None) == (dict(c.assignments)["seed_count"] == 1)
                    for c in cells_on(graphs[3]))
 
-    def test_each_graph_is_built_once_per_run(self, monkeypatch):
-        calls = []
-
-        def counting_build(spec, rng=None):
-            calls.append(spec)
-            return build(spec, rng)
-
-        build = experiment.build_graph
-        monkeypatch.setattr(experiment, "build_graph", counting_build)
+    def test_each_graph_is_built_once_per_run(self, built_graphs):
         base = SimConfig(graph=GraphSpec("watts_strogatz", n=30, k=4, beta=0.2),
                          model=GROUP, master_seed=5, runs=3, metrics=(0.5,))
         cells = sweep(base, [("graph.beta", [0.1, 0.3]), ("runs", [2, 4]),
                              ("scheme", ["synchronous", "async_single_node"]),
                              ("model", ["group", "global"])])
         assert all(cell.error is None for cell in cells)
-        assert len(calls) == 2 * 4  # distinct graph keys x most runs in the key
-        calls.clear()
+        assert len(built_graphs) == 2 * 4  # distinct graph keys x most runs in the key
+        built_graphs.clear()
         sweep(base, [("regenerate_graph_per_run", [False]),
                      ("model", ["group", "global"])])
-        assert len(calls) == 1
+        assert len(built_graphs) == 1
 
 
 class TestGlobalCountOracle:
