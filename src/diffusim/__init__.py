@@ -15,8 +15,7 @@ from .dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, ModelKind, SeedSet,
 from .graph import (Graph, GraphSpec, barabasi_albert, build_graph,
                     complete_graph, directed_cycle, load_edge_list,
                     save_edge_list, watts_strogatz)
-from .metrics import (MetricResult, Trajectory, adoption_curve, spread_time,
-                      time_to_fraction)
+from .metrics import MetricResult, Trajectory, spread_time, time_to_fraction
 from .experiment import (EnsembleResult, RunRecord, SimConfig,
                          derive_graph_rng, derive_run_rng, run_ensemble, sweep)
 from .curvefit import (FitResult, ReferenceCurve, build_reference_curves,
@@ -28,7 +27,7 @@ __all__ = [
     "Graph", "GraphSpec", "ModelKind", "SeedSet",
     "MetricResult", "Trajectory", "SimConfig", "RunRecord", "EnsembleResult",
     "FitResult", "ReferenceCurve",
-    "adoption_curve", "barabasi_albert", "build_graph", "build_reference_curves",
+    "barabasi_albert", "build_graph", "build_reference_curves",
     "complete_graph", "derive_graph_rng", "derive_run_rng", "directed_cycle",
     "fit_series", "fixed",
     "load_edge_list", "normalize_series", "run", "run_ensemble",

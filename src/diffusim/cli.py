@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curvefit import (build_reference_curves, fit_series,
+from .curvefit import (build_reference_curves, fit_input, fit_series,
                        load_reference_config, normalize_series)
 from .experiment import (EnsembleResult, SimConfig, config_from_dict,
                          run_ensemble, run_graph, set_dotted, sweep,
@@ -191,21 +191,19 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{key}: unknown sweep config key")
     if "base" not in doc or "axes" not in doc:
         raise ValueError("sweep config needs 'base' and 'axes'")
-    axes_doc = doc["axes"]
-    if not isinstance(axes_doc, dict) or not axes_doc:
-        raise ValueError("axes: expected a non-empty object of key -> values")
-    axes = []
-    for key, values in axes_doc.items():
-        if not isinstance(values, list) or not values:
-            raise ValueError(f"axes.{key}: expected a non-empty list")
-        axes.append((key, values))
+    if not isinstance(doc["axes"], dict):
+        raise ValueError("axes: expected an object of key -> values")
+    axes = list(doc["axes"].items())
+    for key, values in axes:
+        if not isinstance(values, list):
+            raise ValueError(f"axes.{key}: expected a list")
     try:
         base = config_from_dict(doc["base"])
     except ValueError as exc:
         raise ValueError(f"base.{exc}") from None
 
+    cells = sweep(base, axes, workers=worker_count())  # rejects empty axes first
     outdir = _prepare_outdir(args.out)
-    cells = sweep(base, axes, workers=worker_count())
     keys = [key for key, _ in axes]
     rows = []
     error_rows = []
@@ -231,22 +229,22 @@ def read_series_csv(path: str) -> np.ndarray:
     The fit assumes unit spacing, so a ``t`` column must hold integers that
     rise by exactly 1 per row.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    rows = list(csv.reader(text.splitlines()))
-    rows = [row for row in rows if row and any(col.strip() for col in row)]
+    reader = csv.reader(Path(path).read_text(encoding="utf-8").splitlines())
+    rows = [(reader.line_num, row) for row in reader
+            if any(col.strip() for col in row)]
     if not rows:
         raise ValueError(f"{path}: empty series file")
-    header = [col.strip().lower() for col in rows[0]]
+    header = [col.strip().lower() for col in rows[0][1]]
     if header == ["t", "value"]:
         column = 1
     elif header == ["value"]:
         column = 0
     else:
         raise ValueError(f"{path}: header must be 't,value' or 'value', "
-                         f"got {rows[0]!r}")
+                         f"got {rows[0][1]!r}")
     values = []
     last_t = None
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(f"{path}: line {lineno}: expected "
                              f"{len(header)} column(s)")
@@ -270,7 +268,7 @@ def read_series_csv(path: str) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
-    raw = read_series_csv(args.series)
+    obs = normalize_series(fit_input(read_series_csv(args.series)))
     if args.config is not None:
         reference = parse_config(args.config, args.set)
     else:
@@ -279,7 +277,6 @@ def cmd_fit(args) -> int:
                              "to override when fitting against the "
                              "packaged reference)")
         reference = load_reference_config()
-    obs = normalize_series(raw)
     curves = build_reference_curves(reference, workers=worker_count())
     result = fit_series(obs, curves)
     outdir = _prepare_outdir(args.out)

@@ -40,7 +40,7 @@ def normalize_series(values) -> np.ndarray:
     """Scale a non-negative series by its maximum into [0, 1].
 
     Accepts any length >= 1; rejects an all-zero series.  (The length a fit
-    needs is enforced by fit_series, not here.)
+    needs is fit_input's rule, not this function's.)
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -158,18 +158,25 @@ def _fit_one(obs: np.ndarray, curve: np.ndarray) -> tuple:
     return sse, a, b, c
 
 
-def fit_series(obs, refs) -> FitResult:
-    """Fit a normalized observed series against the reference curves.
-
-    ``obs`` is a 1-D normalized series of length >= 8 (see
-    normalize_series); ``refs`` is the tuple from build_reference_curves.
-    A constant series is fit anyway but flagged low_confidence.
-    """
-    obs = np.asarray(obs, dtype=np.float64)
+def fit_input(values) -> np.ndarray:
+    """``values`` as float64, checked by fit_series's rule: 1-D, at least 8
+    points, all finite.  Apply it before building reference curves."""
+    obs = np.asarray(values, dtype=np.float64)
     if obs.ndim != 1 or obs.size < 8:
         raise ValueError("fit needs a 1-D series of at least 8 points")
     if not np.all(np.isfinite(obs)):
         raise ValueError("fit needs finite values")
+    return obs
+
+
+def fit_series(obs, refs) -> FitResult:
+    """Fit a normalized observed series against the reference curves.
+
+    ``obs`` is a normalized series (see normalize_series) that passes
+    fit_input; ``refs`` is the tuple from build_reference_curves.  A
+    constant series is fit anyway but flagged low_confidence.
+    """
+    obs = fit_input(obs)
     by_name = {ref.model: ref for ref in refs}
     if set(by_name) != set(MODEL_ORDER):
         raise ValueError("expected exactly one reference curve per model")

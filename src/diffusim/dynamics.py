@@ -241,8 +241,9 @@ def _run_async(model, g, times, t, max_steps, rng):
         inf_in = inf_in.tolist()
         prob = [row[d] for row, d in zip(rows, inf_in)]
         indptr, flat = g._out_indptr.tolist(), g._out_indices.tolist()
-        if boundary == 0 or model.transmission_prob == 0.0:
-            limit = t  # absorbed before the first draw
+        # absorbed before the first draw; fixed(q) has p(1) = 0 iff every p is 0
+        if boundary == 0 or model.kind == "fixed" and rows[0][1] == 0.0:
+            limit = t
     for u in np.flatnonzero(infected).tolist():
         prob[u] = None
 

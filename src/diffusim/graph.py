@@ -40,10 +40,20 @@ class EdgeListError(ValueError):
         self.line = line
 
 
+class ArcError(ValueError):
+    """An arc Graph rejects, the rule it fails and its 0-based input position."""
+
+    def __init__(self, arcs: np.ndarray, rule: str, index):
+        self.arc, self.rule, self.index = tuple(arcs[index].tolist()), rule, int(index)
+        super().__init__(f"arc {self.arc}: {rule}")
+
+
 class Graph:
     """Immutable directed graph over node ids 0..n-1.
 
-    Rejects self-loops and duplicate arcs.  Adjacency lists are sorted
+    Rejects an out-of-range endpoint, then a self-loop, then a duplicate
+    arc: an ArcError names the first offender in input order (for a
+    duplicate, its second occurrence).  Adjacency lists are sorted
     ascending, and ``in_neighbors``/``out_neighbors`` are exact transposes
     of each other by construction.
     """
@@ -56,23 +66,28 @@ class Graph:
         n = int(n)
         if n < 1:
             raise ValueError("node count must be >= 1")
-        arr = np.asarray(list(arcs) if not isinstance(arcs, np.ndarray) else arcs,
-                         dtype=np.int64)
+        arcs = arcs if isinstance(arcs, np.ndarray) else list(arcs)
+        try:
+            arr = np.asarray(arcs, dtype=np.int64)
+        except OverflowError:  # beyond int64, so the range check below fails
+            arr = np.asarray(arcs, dtype=object)
         if arr.size == 0:
             arr = np.zeros((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("arcs must be (v, u) pairs")
+        # each check finds its offending position only once it has failed
         if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise ValueError("arc endpoint out of range")
-        if arr.size and np.any(arr[:, 0] == arr[:, 1]):
-            raise ValueError("self-loops are not allowed")
+            raise ArcError(arr, "out of range", ((arr < 0) | (arr >= n)).any(1).argmax())
+        loops = arr[:, 0] == arr[:, 1]
+        if loops.any():
+            raise ArcError(arr, "self-loop", loops.argmax())
 
         # canonical order: by source, then destination
         order = np.lexsort((arr[:, 1], arr[:, 0]))
-        arr = arr[order]
-        src, dst = arr[:, 0].copy(), arr[:, 1].copy()
-        if src.size > 1 and np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
-            raise ValueError("duplicate arcs are not allowed")
+        src, dst = arr[order, 0], arr[order, 1]
+        repeats = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+        if repeats.any():  # lexsort is stable, so each repeat is a later occurrence
+            raise ArcError(arr, "duplicate", order[1:][repeats].min())
 
         self.n = n
         self.arc_count = int(src.size)
@@ -301,55 +316,39 @@ def save_edge_list(g: Graph, sink: PathOrFile) -> None:
 
 
 def load_edge_list(source: PathOrFile) -> Graph:
-    """Parse the edge-list text format back into a Graph.
-
-    Raises EdgeListError naming the offending line on malformed input or on
-    arcs inconsistent with the header (out-of-range endpoint, duplicate,
-    self-loop).
-    """
+    """Parse the edge-list text format back into a Graph.  An EdgeListError
+    names the line of malformed text, else that of the arc Graph rejects."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
-    lines = text.split("\n")
-
-    header_line = None
-    n = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            try:
-                n = int(raw.strip())
-            except ValueError:
-                raise EdgeListError(f"header is not an integer: {raw.strip()!r}", lineno) from None
-            if n < 1:
-                raise EdgeListError("header node count must be >= 1", lineno)
-            header_line = lineno
-            break
-    if n is None:
+    # (file line, stripped text) for each non-blank line
+    rows = [(lineno, line) for lineno, raw in enumerate(text.split("\n"), start=1)
+            if (line := raw.strip())]
+    if not rows:
         raise EdgeListError("empty input: missing node-count header")
+    lineno, header = rows[0]
+    try:
+        n = int(header)
+    except ValueError:
+        raise EdgeListError(f"header is not an integer: {header!r}", lineno) from None
+    if n < 1:
+        raise EdgeListError("header node count must be >= 1", lineno)
 
     arcs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
+    for lineno, line in rows[1:]:
+        parts = line.split()
         if len(parts) != 2:
-            raise EdgeListError(f"expected 'v u', got {stripped!r}", lineno)
+            raise EdgeListError(f"expected 'v u', got {line!r}", lineno)
         try:
-            v, u = int(parts[0]), int(parts[1])
+            arcs.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise EdgeListError(f"non-integer endpoint in {stripped!r}", lineno) from None
-        if not (0 <= v < n and 0 <= u < n):
-            raise EdgeListError(f"arc ({v}, {u}) inconsistent with header n={n}", lineno)
-        if v == u:
-            raise EdgeListError(f"self-loop ({v}, {u})", lineno)
-        if (v, u) in seen:
-            raise EdgeListError(f"duplicate arc ({v}, {u})", lineno)
-        seen.add((v, u))
-        arcs.append((v, u))
-    return Graph(n, arcs)
+            raise EdgeListError(f"non-integer endpoint in {line!r}", lineno) from None
+    try:
+        return Graph(n, arcs)
+    except ArcError as exc:
+        against = f" for header n={n}" if exc.rule == "out of range" else ""
+        raise EdgeListError(f"{exc}{against}", rows[exc.index + 1][0]) from None
 
 
 # -- declarative spec -------------------------------------------------------

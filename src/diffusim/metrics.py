@@ -139,11 +139,6 @@ def spread_time(traj: Trajectory, f_lo: float, f_hi: float) -> MetricResult:
     return MetricResult.value(hi.steps - lo.steps)
 
 
-def adoption_curve(traj: Trajectory) -> np.ndarray:
-    """Infected fraction per step: counts[t]/n, same length as counts."""
-    return traj.counts.astype(np.float64) / float(traj.n)
-
-
 def metric_label(target) -> str:
     """Column-friendly name for a metric target.
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from diffusim import cli
 from diffusim.cli import main, parse_config, read_series_csv
 from diffusim.experiment import derive_graph_rng, run_ensemble, set_dotted
 from diffusim.graph import build_graph, load_edge_list
@@ -290,6 +291,10 @@ class TestSweepCommand:
                        encoding="utf-8")
         assert main(["sweep", "--config", str(bad), "--out",
                      str(tmp_path / "o3")]) == 1
+        bad.write_text(json.dumps({"base": {}, "axes": {}}), encoding="utf-8")
+        assert main(["sweep", "--config", str(bad), "--out",
+                     str(tmp_path / "o4")]) == 1
+        assert not any((tmp_path / f"o{i}").exists() for i in range(1, 5))
 
     def test_set_overrides_reach_base(self, tmp_path):
         path = self.write_sweep(tmp_path, axes={"model": ["group"]})
@@ -321,6 +326,9 @@ class TestSeriesInput:
             read_series_csv(path)
         path.write_text("t,value\n0,spam\n", encoding="utf-8")
         with pytest.raises(ValueError, match="spam"):
+            read_series_csv(path)
+        path.write_text("t,value\n\n0,1\nfoo,2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 4: t must be"):
             read_series_csv(path)
         path.write_text("t,value\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no rows"):
@@ -390,12 +398,18 @@ class TestFitCommand:
         assert code == 1
         assert "--set requires --config" in capsys.readouterr().err
 
-    def test_short_series_rejected(self, tmp_path, capsys):
+    def test_short_series_rejected(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("reference curves built for a rejected series")
+
+        monkeypatch.setattr(cli, "build_reference_curves", no_simulation)
         path = tmp_path / "s.csv"
-        path.write_text("value\n1\n2\n3\n", encoding="utf-8")
+        path.write_text("value\n" + "\n".join("1234567") + "\n", encoding="utf-8")
         code = main(["fit", "--series", str(path), "--out",
                      str(tmp_path / "out")])
         assert code == 1
+        assert "at least 8 points" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_series_file_is_io_error(self, tmp_path):
         code = main(["fit", "--series", str(tmp_path / "absent.csv"),

@@ -74,6 +74,19 @@ class TestSeedSet:
         assert hits.min() > 300 and hits.max() < 500  # 400 +- 5 sigma
 
 
+class FirstDecision:
+    """Generator stand-in for one synchronous step: the first double drawn
+    is ``decision``, every later one 1.0."""
+
+    def __init__(self, decision: float):
+        self.decision = decision
+
+    def random(self, size: int) -> np.ndarray:
+        out = np.ones(size)
+        out[0] = self.decision
+        return out
+
+
 class TestInfectionProbability:
     def test_focal_fixture_group(self, focal_fixture):
         g, s = focal_fixture
@@ -99,6 +112,18 @@ class TestInfectionProbability:
         hits = int(np.any(rng.random((trials, 2)) < 0.5, axis=1).sum())
         se = np.sqrt(0.75 * 0.25 / trials)
         assert abs(hits / trials - p) < 4 * se
+
+    @pytest.mark.parametrize("model, p", [(GROUP, 2 / 5), (GLOBAL, 2 / 13),
+                                          (fixed(0.5), 0.75)])
+    def test_production_step_compares_the_hand_computed_probability(
+            self, focal_fixture, model, p):
+        # node 0 is the first susceptible node, so it takes the first
+        # decision double; every other node draws 1.0 and stays susceptible
+        g, s = focal_fixture
+        for decision, infected in ((p, False), (np.nextafter(p, 0), True)):
+            after = step(model, g, s, SYNCHRONOUS, FirstDecision(decision))
+            assert (after.infection_time[0] == 1) == infected
+            assert after.final_infected == 2 + infected
 
     def test_rejects_infected_node(self, focal_fixture):
         g, s = focal_fixture
@@ -227,6 +252,17 @@ class TestRun:
         assert traj.counts.size == 26
         traj = run(fixed(0.0), g, SeedSet((0,)), ASYNC_SINGLE_NODE, 25, rng_for(48))
         assert traj.final_infected == 1 and traj.counts.size == 26
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_fixed_probability_rounding_to_zero_draws_nothing(self, scheme):
+        # fl(1 - 1e-17) = 1, so every fixed(1e-17) probability is exactly 0
+        # and the state is absorbed before the first draw
+        rng = rng_for(51)
+        state = rng.bit_generator.state
+        traj = run(fixed(1e-17), directed_cycle(50), SeedSet((0,)), scheme,
+                   2_000_000, rng)
+        assert traj.final_infected == 1 and traj.steps_executed == 2_000_000
+        assert rng.bit_generator.state == state
 
     def test_async_increments_at_most_one(self):
         g = watts_strogatz(40, 6, 0.1, rng_for(49))

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import rng_for
 from diffusim import graph
-from diffusim.graph import (EdgeListError, Graph, GraphSpec, barabasi_albert,
-                            build_graph, complete_graph, directed_cycle,
-                            load_edge_list, save_edge_list, watts_strogatz)
+from diffusim.graph import (ArcError, EdgeListError, Graph, GraphSpec,
+                            barabasi_albert, build_graph, complete_graph,
+                            directed_cycle, load_edge_list, save_edge_list,
+                            watts_strogatz)
 
 
 def arc_set(g: Graph) -> set:
@@ -41,6 +42,18 @@ class TestGraphCore:
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 3)])
+
+    def test_rejection_names_first_offending_arc_and_its_position(self):
+        arcs = [(0, 1), (1, 2), (2, 2), (1, 2), (0, 1), (0, 0), (2, 7)]
+        cases = [(arcs, "out of range", (2, 7), 6),
+                 (arcs[:-1], "self-loop", (2, 2), 2),
+                 (arcs[:2] + arcs[3:5], "duplicate", (1, 2), 2)]
+        for given, rule, arc, index in cases:
+            with pytest.raises(ArcError) as info:
+                Graph(3, np.array(given))
+            error = info.value
+            assert (error.rule, error.arc, error.index) == (rule, arc, index)
+            assert str(arc) in str(info.value)
 
     def test_rejects_empty_node_set(self):
         with pytest.raises(ValueError):
@@ -242,6 +255,16 @@ class TestEdgeList:
             load_edge_list(io.StringIO("3\n1 1\n"))
         with pytest.raises(EdgeListError, match="duplicate"):
             load_edge_list(io.StringIO("3\n0 1\n0 1\n"))
+
+    def test_arc_errors_name_file_lines_after_syntax_errors(self):
+        cases = [("\n3\n\n0 1\n\n1 1\n", "line 6: arc \\(1, 1\\): self-loop"),
+                 ("3\n0 1\n\n0 1\n", "line 4: arc \\(0, 1\\): duplicate"),
+                 ("3\n0 1\n0 1\n2 2\n0 5\n", "line 5: .* header n=3"),
+                 ("3\n0 99999999999999999999\n", "line 2: .* header n=3"),
+                 ("3\n1 1\n0 x\n", "line 3: non-integer")]
+        for text, message in cases:
+            with pytest.raises(EdgeListError, match=message):
+                load_edge_list(io.StringIO(text))
 
     def test_empty_input(self):
         with pytest.raises(EdgeListError, match="empty"):

@@ -1,15 +1,13 @@
-"""Trajectory metrics: threshold times, spread times, adoption curves."""
+"""Trajectory metrics: threshold times and spread times."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from conftest import rng_for
-from diffusim import dynamics
-from diffusim.graph import directed_cycle
-from diffusim.metrics import (MetricResult, Trajectory, adoption_curve,
-                              evaluate_metric, fraction_threshold,
-                              metric_label, spread_time, time_to_fraction)
+from diffusim.metrics import (MetricResult, Trajectory, evaluate_metric,
+                              fraction_threshold, metric_label, spread_time,
+                              time_to_fraction)
 
 
 def traj_from_counts(counts, n):
@@ -169,28 +167,6 @@ class TestSpreadTime:
             spread_time(traj, 0.9, 0.1)
         with pytest.raises(ValueError):
             spread_time(traj, 0.5, 0.5)
-
-
-class TestAdoptionCurve:
-    def test_normalizes_by_n(self):
-        traj = traj_from_counts([50, 100], 100)
-        assert adoption_curve(traj).tolist() == [0.5, 1.0]
-
-    def test_all_seeded_run_is_constant_one(self):
-        traj = traj_from_counts([100], 100)
-        assert adoption_curve(traj).tolist() == [1.0]
-
-    def test_cycle_group_run_quarters(self):
-        # deterministic: each node's unique in-neighbor forces p in {0, 1}
-        traj = dynamics.run(dynamics.GROUP, directed_cycle(4),
-                            dynamics.SeedSet((0,)), dynamics.SYNCHRONOUS,
-                            100, rng_for(22))
-        assert adoption_curve(traj).tolist() == [0.25, 0.5, 0.75, 1.0]
-
-    def test_non_decreasing_and_bounded(self):
-        traj = traj_from_counts([1, 4, 4, 9, 10], 10)
-        curve = adoption_curve(traj)
-        assert np.all(np.diff(curve) >= 0) and curve.max() <= 1.0
 
 
 class TestMetricDispatch:
