@@ -77,12 +77,16 @@ def _cell(value) -> str:
 @contextlib.contextmanager
 def atomic_open(path):
     """Text handle on a temp file in the target directory; the file is
-    renamed onto ``path`` when the block completes, and removed if it fails."""
+    renamed onto ``path`` when the block completes, and removed if it fails.
+    The file gets the mode ``open`` would give it (0o666 less the umask)."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -163,9 +167,7 @@ def _runs_rows(config: SimConfig, result: EnsembleResult):
         s19 = rec.metric(lab_s)
         yield [rec.run_index, config.model.kind, config.scheme,
                result.n, g.k, g.beta, config.seed_count, config.master_seed,
-               None if t1.censored else t1.steps,
-               None if s19.censored else s19.steps,
-               t1.censored, s19.censored,
+               t1, s19, t1 is None, s19 is None,
                rec.final_infected, rec.steps_executed]
 
 
@@ -212,9 +214,7 @@ def cmd_sweep(args) -> int:
         if cell.error is not None:
             error_rows.append(values + [cell.error])
             continue
-        for label, ms in cell.stats:
-            rows.append(values + [label, ms.mean, ms.std, ms.cv, ms.min,
-                                  ms.max, ms.censored_count, ms.runs])
+        rows.extend(values + row for row in _summary_rows(cell.stats))
     write_csv(outdir / "sweep_summary.csv", keys + SUMMARY_COLUMNS, rows)
     if error_rows:
         write_csv(outdir / "sweep_errors.csv", keys + ["error"], error_rows)

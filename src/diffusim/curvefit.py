@@ -111,11 +111,10 @@ class ModelFit:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Per-model refined fits; ``best_model`` attains the minimal sse."""
+    """Per-model refined fits; ``best_model`` names the table row with the
+    minimal sse."""
 
     best_model: str
-    sse: float
-    params: tuple  # (time_scale, time_offset, amplitude)
     table: tuple  # ModelFit per reference curve, in fixed<group<global order
     low_confidence: bool = False
 
@@ -188,10 +187,5 @@ def fit_series(obs, refs) -> FitResult:
                               time_offset=b, amplitude=c))
     best = min(table, key=lambda m: (m.sse, MODEL_ORDER.index(m.model)))
     low_confidence = bool(np.all(obs == obs[0]))
-    return FitResult(
-        best_model=best.model,
-        sse=best.sse,
-        params=(best.time_scale, best.time_offset, best.amplitude),
-        table=tuple(table),
-        low_confidence=low_confidence,
-    )
+    return FitResult(best_model=best.model, table=tuple(table),
+                     low_confidence=low_confidence)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, check_field_types
+from .graph import Graph, check_field_types, config_value
 from .metrics import Trajectory
 
 SYNCHRONOUS = "synchronous"
@@ -85,12 +85,13 @@ def fixed(transmission_prob: float) -> ModelKind:
 
 @dataclass(frozen=True)
 class SeedSet:
-    """Initially infected nodes (non-empty, distinct, sorted)."""
+    """Initially infected nodes (non-empty, distinct, sorted integers)."""
 
     nodes: tuple
 
     def __post_init__(self):
-        nodes = tuple(sorted(int(u) for u in self.nodes))
+        nodes = tuple(sorted(config_value("seed node id", "int", u)
+                             for u in self.nodes))
         object.__setattr__(self, "nodes", nodes)
         if not nodes:
             raise ValueError("seed set must be non-empty")

@@ -38,7 +38,7 @@ from . import dynamics
 from .dynamics import ModelKind, SCHEMES, SYNCHRONOUS
 from .graph import (Graph, GraphSpec, build_graph, check_field_types,
                     config_key, config_value)
-from .metrics import MetricResult, evaluate_metric, metric_label
+from .metrics import evaluate_metric, metric_label
 
 STREAM_RUN = 0
 STREAM_GRAPH = 1
@@ -226,15 +226,12 @@ class RunRecord:
     """Outcome of one run; reproducible from (config, run_index)."""
 
     run_index: int
-    metric_results: tuple  # ((label, MetricResult), ...) in config order
+    metric_results: tuple  # ((label, steps or None), ...) in config order
     final_infected: int
     steps_executed: int
 
-    def metric(self, label: str) -> MetricResult:
-        for name, result in self.metric_results:
-            if name == label:
-                return result
-        raise KeyError(label)
+    def metric(self, label: str) -> int | None:
+        return dict(self.metric_results)[label]
 
 
 @dataclass(frozen=True)
@@ -422,14 +419,8 @@ def _ensemble(config: SimConfig, outputs, collect_curves: bool) -> EnsembleResul
 
 
 def _metric_stats(records, label: str) -> MetricStats:
-    values = []
-    censored = 0
-    for rec in records:
-        result = rec.metric(label)
-        if result.censored:
-            censored += 1
-        else:
-            values.append(result.steps)
+    values = [v for v in (rec.metric(label) for rec in records) if v is not None]
+    censored = len(records) - len(values)
     if not values:
         return MetricStats(None, None, None, None, None, censored, len(records))
     arr = np.asarray(values, dtype=np.float64)

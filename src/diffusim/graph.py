@@ -51,9 +51,10 @@ class ArcError(ValueError):
 class Graph:
     """Immutable directed graph over node ids 0..n-1.
 
-    Rejects an out-of-range endpoint, then a self-loop, then a duplicate
-    arc: an ArcError names the first offender in input order (for a
-    duplicate, its second occurrence).  Adjacency lists are sorted
+    Rejects a node id that is not an integer (a float, string or bool),
+    then an out-of-range endpoint, then a self-loop, then a duplicate arc:
+    an ArcError names the first offender in input order (for a duplicate,
+    its second occurrence).  Adjacency lists are sorted
     ascending, and ``in_neighbors``/``out_neighbors`` are exact transposes
     of each other by construction.
     """
@@ -63,21 +64,25 @@ class Graph:
                  "_fingerprint")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray):
-        n = int(n)
+        n = config_value("node count", "int", n)
         if n < 1:
             raise ValueError("node count must be >= 1")
         arcs = arcs if isinstance(arcs, np.ndarray) else list(arcs)
-        try:
-            arr = np.asarray(arcs, dtype=np.int64)
-        except OverflowError:  # beyond int64, so the range check below fails
-            arr = np.asarray(arcs, dtype=object)
+        arr = np.asarray(arcs)
         if arr.size == 0:
             arr = np.zeros((0, 2), dtype=np.int64)
+        if arr.dtype.kind not in "iu":  # ids beyond int64 also land here
+            arr = np.asarray(arcs, dtype=object)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("arcs must be (v, u) pairs")
+        if arr.dtype == object:
+            ids = [isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in arr.flat]
+            if not all(ids):
+                raise ArcError(arr, "not an integer", ids.index(False) // 2)
         # each check finds its offending position only once it has failed
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ArcError(arr, "out of range", ((arr < 0) | (arr >= n)).any(1).argmax())
+        arr = arr.astype(np.int64, copy=False)
         loops = arr[:, 0] == arr[:, 1]
         if loops.any():
             raise ArcError(arr, "self-loop", loops.argmax())

@@ -1,11 +1,10 @@
 """Spreading-time measurements over recorded trajectories.
 
 A Trajectory is what a single run leaves behind: per-node infection times
-plus the step the run ended at.  Metrics either yield a step count
-(``value``) or report that the target fraction was never reached before the
-trajectory ended (``censored``).  Censoring is kept explicit all the way up
-to the ensemble statistics; it is never silently swapped for the step
-limit.
+plus the step the run ended at.  Metrics either yield a step count or
+``None``: the target fraction was never reached before the trajectory ended
+(censored).  Censoring is kept explicit all the way up to the ensemble
+statistics; it is never silently swapped for the step limit.
 """
 from __future__ import annotations
 
@@ -70,34 +69,6 @@ class Trajectory:
         return int(np.count_nonzero(self.infection_time >= 0))
 
 
-@dataclass(frozen=True)
-class MetricResult:
-    """Either a step count or a censoring marker.
-
-    ``value(steps)`` means the target was reached after ``steps`` steps;
-    ``censored(at)`` means the trajectory ended at step ``at`` without
-    reaching it.
-    """
-
-    censored: bool
-    steps: int
-
-    @classmethod
-    def value(cls, steps: int) -> "MetricResult":
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        return cls(censored=False, steps=int(steps))
-
-    @classmethod
-    def censored_at(cls, last_step: int) -> "MetricResult":
-        return cls(censored=True, steps=int(last_step))
-
-    def __repr__(self) -> str:
-        if self.censored:
-            return f"MetricResult.censored_at({self.steps})"
-        return f"MetricResult.value({self.steps})"
-
-
 def fraction_threshold(n: int, f: float) -> int:
     """Node count that realizes "a fraction f of the network".
 
@@ -110,33 +81,28 @@ def fraction_threshold(n: int, f: float) -> int:
     return max(1, math.ceil(f * n - 1e-9))
 
 
-def time_to_fraction(traj: Trajectory, f: float) -> MetricResult:
+def time_to_fraction(traj: Trajectory, f: float) -> int | None:
     """First step at which the infected count reaches ceil(f*n): the
     ceil(f*n)-th smallest infection time.
 
-    Seeds count: a seed set already past the threshold yields value(0).
-    Returns censored_at(last step) if the trajectory never gets there.
+    Seeds count: a seed set already past the threshold yields 0.
+    Returns None (censored) if the trajectory never gets there.
     """
     threshold = fraction_threshold(traj.n, f)
     times = traj.sorted_times
-    if threshold > times.size:
-        return MetricResult.censored_at(traj.steps_executed)
-    return MetricResult.value(times[threshold - 1])
+    return None if threshold > times.size else int(times[threshold - 1])
 
 
-def spread_time(traj: Trajectory, f_lo: float, f_hi: float) -> MetricResult:
+def spread_time(traj: Trajectory, f_lo: float, f_hi: float) -> int | None:
     """Steps between reaching fraction f_lo and fraction f_hi.
 
-    Censored whenever the upper target is censored (the lower one then is
-    too, or the subtraction would be meaningless).
+    None (censored) exactly when f_hi is never reached.  fraction_threshold
+    is monotone in f, so f_lo is reached whenever f_hi is.
     """
     if not 0.0 < f_lo < f_hi <= 1.0:
         raise ValueError("fractions must satisfy 0 < f_lo < f_hi <= 1")
-    lo = time_to_fraction(traj, f_lo)
     hi = time_to_fraction(traj, f_hi)
-    if lo.censored or hi.censored:
-        return MetricResult.censored_at(traj.steps_executed)
-    return MetricResult.value(hi.steps - lo.steps)
+    return None if hi is None else hi - time_to_fraction(traj, f_lo)
 
 
 def metric_label(target) -> str:
@@ -153,7 +119,7 @@ def metric_label(target) -> str:
     return f"time_to_{float(target):g}"
 
 
-def evaluate_metric(traj: Trajectory, target) -> MetricResult:
+def evaluate_metric(traj: Trajectory, target) -> int | None:
     """Dispatch a metric target (f or (f_lo, f_hi)) against a trajectory."""
     if isinstance(target, (tuple, list)):
         lo, hi = target

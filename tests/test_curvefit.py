@@ -97,35 +97,39 @@ class TestReferenceBuild:
             build_reference_curves(bad)
 
 
+def best_row(result):
+    return next(m for m in result.table if m.model == result.best_model)
+
+
 class TestFitSeries:
     def test_self_fit_is_exact(self, refs):
         for ref in refs:
             result = fit_series(ref.curve, refs)
             assert result.best_model == ref.model
-            assert result.sse == 0.0
-            assert result.params == (1.0, 0.0, 1.0)
+            best = best_row(result)
+            assert best.sse == 0.0
+            assert (best.time_scale, best.time_offset, best.amplitude) == \
+                (1.0, 0.0, 1.0)
             assert not result.low_confidence
 
     def test_table_covers_models_in_order(self, refs):
         result = fit_series(refs[0].curve, refs)
         assert [m.model for m in result.table] == ["fixed", "group", "global"]
-        best = next(m for m in result.table if m.model == result.best_model)
-        assert result.params == (best.time_scale, best.time_offset,
-                                 best.amplitude)
+        assert best_row(result).sse == min(m.sse for m in result.table)
 
     def test_downsampled_series_recovers_time_scale(self, refs):
         group = next(r for r in refs if r.model == "group")
         result = fit_series(group.curve[::2], refs)
         assert result.best_model == "group"
-        assert result.sse == 0.0
-        assert result.params[0] == 2.0
+        assert best_row(result).sse == 0.0
+        assert best_row(result).time_scale == 2.0
 
     def test_grid_amplitude_recovered_exactly(self, refs):
         fixed = next(r for r in refs if r.model == "fixed")
         result = fit_series(0.75 * fixed.curve, refs)
         assert result.best_model == "fixed"
-        assert result.sse == 0.0
-        assert result.params[2] == 0.75
+        assert best_row(result).sse == 0.0
+        assert best_row(result).amplitude == 0.75
 
     def test_noisy_curves_recover_generator(self, refs):
         rng = np.random.default_rng(313)
@@ -143,7 +147,7 @@ class TestFitSeries:
     def test_decreasing_series_fits_nothing_well(self, refs):
         reversed_global = refs[2].curve[::-1]
         result = fit_series(reversed_global, refs)
-        assert result.sse > 50.0
+        assert best_row(result).sse > 50.0
 
     def test_constant_series_is_low_confidence(self, refs):
         result = fit_series(np.ones(20), refs)
@@ -156,7 +160,7 @@ class TestFitSeries:
                       for model in ("fixed", "group", "global"))
         result = fit_series(curve, twins)
         assert result.best_model == "fixed"
-        assert result.sse == 0.0
+        assert best_row(result).sse == 0.0
 
     def test_validation(self, refs):
         with pytest.raises(ValueError, match="at least 8"):

@@ -43,6 +43,14 @@ class TestSeedSet:
         with pytest.raises(ValueError):
             SeedSet((-1,))
 
+    def test_rejects_node_ids_that_are_not_integers(self):
+        for bad in (2.7, 3.0, "3", True, np.bool_(False), None):
+            with pytest.raises(ValueError, match="seed node id: expected an "
+                                                 f"integer, got {bad!r}"):
+                SeedSet((1, bad))
+        assert SeedSet((np.int64(4), np.uint8(2))).nodes == (2, 4)
+        assert all(type(u) is int for u in SeedSet((np.int64(4),)).nodes)
+
     def test_seed_random_full_cover(self):
         g = directed_cycle(7)
         assert seed_random(g, 7, rng_for(30)).nodes == tuple(range(7))

@@ -55,6 +55,38 @@ class TestGraphCore:
             assert (error.rule, error.arc, error.index) == (rule, arc, index)
             assert str(arc) in str(info.value)
 
+    def test_rejects_node_ids_that_are_not_integers(self):
+        cases = [(np.array([[0.9, 2.2]]), (0.9, 2.2), 0),
+                 (np.array([[0.0, 1.0]]), (0.0, 1.0), 0),
+                 ([(0, 1), (1, 2.5)], (1, 2.5), 1),
+                 ([("0", "2")], ("0", "2"), 0),
+                 (np.array([[True, False]]), (True, False), 0),
+                 ([(0, 1), (1, None)], (1, None), 1)]
+        for given, arc, index in cases:
+            with pytest.raises(ArcError) as info:
+                Graph(3, given)
+            error = info.value
+            assert (error.rule, error.arc, error.index) == \
+                ("not an integer", arc, index)
+            assert str(arc) in str(error)
+        for n in (3.7, 3.0, "3", True):
+            with pytest.raises(ValueError, match="node count: expected an integer"):
+                Graph(n, [(0, 1)])
+
+    def test_integer_ids_of_any_width_are_accepted(self):
+        for arcs in (np.array([[0, 2]], dtype=np.uint8),
+                     np.array([[0, 2]], dtype=np.int32),
+                     np.array([[0, 2]], dtype=object), [(0, 2)]):
+            g = Graph(np.int64(3), arcs)
+            assert arc_set(g) == {(0, 2)} and g.arcs.dtype == np.int64
+        assert Graph(4, np.zeros((0, 2))).arc_count == 0
+
+    def test_ids_beyond_int64_are_out_of_range(self):
+        for big in (2 ** 63, 2 ** 70, -2 ** 70):
+            with pytest.raises(ArcError, match="out of range") as info:
+                Graph(3, [(0, 1), (1, big)])
+            assert info.value.arc == (1, big) and info.value.index == 1
+
     def test_rejects_empty_node_set(self):
         with pytest.raises(ValueError):
             Graph(0, [])

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
-from diffusim.metrics import (MetricResult, Trajectory, evaluate_metric,
-                              fraction_threshold, metric_label, spread_time,
-                              time_to_fraction)
+from diffusim.metrics import (Trajectory, evaluate_metric, fraction_threshold,
+                              metric_label, spread_time, time_to_fraction)
 
 
 def traj_from_counts(counts, n):
@@ -54,20 +53,7 @@ class TestTrajectoryType:
         assert traj.final_infected == 4
         empty = Trajectory.from_seeds(4, [])  # nobody infected is a state too
         assert empty.counts.tolist() == [0] and empty.final_infected == 0
-        assert time_to_fraction(empty, 0.25) == MetricResult.censored_at(0)
-
-
-class TestMetricResult:
-    def test_value_and_censored_forms(self):
-        v = MetricResult.value(3)
-        c = MetricResult.censored_at(200)
-        assert not v.censored and v.steps == 3
-        assert c.censored and c.steps == 200
-        assert v != c
-
-    def test_value_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MetricResult.value(-1)
+        assert time_to_fraction(empty, 0.25) is None
 
 
 class TestFractionThreshold:
@@ -102,16 +88,15 @@ class TestFractionThreshold:
 class TestTimeToFraction:
     def test_seed_set_already_past_threshold(self):
         traj = traj_from_counts([1, 5, 12, 40], 100)
-        assert time_to_fraction(traj, 0.01) == MetricResult.value(0)
+        assert time_to_fraction(traj, 0.01) == 0
 
     def test_first_crossing_step(self):
         traj = traj_from_counts([1, 5, 12], 100)
-        assert time_to_fraction(traj, 0.05) == MetricResult.value(1)
+        assert time_to_fraction(traj, 0.05) == 1
 
     def test_censored_when_never_reached(self):
         traj = traj_from_counts([1, 2, 3], 100)
-        result = time_to_fraction(traj, 0.99)
-        assert result.censored and result.steps == 2
+        assert time_to_fraction(traj, 0.99) is None
 
     def test_monotone_in_fraction(self):
         rng = rng_for(20)
@@ -121,13 +106,13 @@ class TestTimeToFraction:
             inc = rng.integers(0, 4, size=steps)
             counts = np.minimum(1 + np.concatenate([[0], np.cumsum(inc)]), n)
             traj = traj_from_counts(counts, n)
-            prev = MetricResult.value(0)
+            prev = 0
             for f in (0.01, 0.1, 0.25, 0.5, 0.75, 0.99, 1.0):
                 cur = time_to_fraction(traj, f)
-                if prev.censored:
-                    assert cur.censored  # censored dominates any value
-                elif not cur.censored:
-                    assert cur.steps >= prev.steps
+                if prev is None:
+                    assert cur is None  # censored dominates any value
+                elif cur is not None:
+                    assert type(cur) is int and cur >= prev
                 prev = cur
 
 
@@ -139,18 +124,17 @@ class TestSpreadTime:
             np.full(100, 990),                          # crosses 99% at t=520
         ])
         traj = traj_from_counts(counts, 1000)
-        assert time_to_fraction(traj, 0.01) == MetricResult.value(120)
-        assert time_to_fraction(traj, 0.99) == MetricResult.value(520)
-        assert spread_time(traj, 0.01, 0.99) == MetricResult.value(400)
+        assert time_to_fraction(traj, 0.01) == 120
+        assert time_to_fraction(traj, 0.99) == 520
+        assert spread_time(traj, 0.01, 0.99) == 400
 
     def test_zero_when_seeds_cover_upper_target(self):
         traj = traj_from_counts([99, 100], 100)
-        assert spread_time(traj, 0.01, 0.99) == MetricResult.value(0)
+        assert spread_time(traj, 0.01, 0.99) == 0
 
     def test_censored_upper_target(self):
         traj = traj_from_counts([1, 3, 5], 100)
-        result = spread_time(traj, 0.01, 0.99)
-        assert result.censored and result.steps == 2
+        assert spread_time(traj, 0.01, 0.99) is None
 
     def test_non_negative_whenever_defined(self):
         rng = rng_for(21)
@@ -158,8 +142,9 @@ class TestSpreadTime:
             counts = np.minimum(1 + np.cumsum(rng.integers(0, 5, 25)), 50)
             traj = traj_from_counts(np.concatenate([[1], counts]), 50)
             result = spread_time(traj, 0.1, 0.9)
-            if not result.censored:
-                assert result.steps >= 0
+            assert (result is None) == (time_to_fraction(traj, 0.9) is None)
+            if result is not None:
+                assert result >= 0
 
     def test_rejects_bad_ordering(self):
         traj = traj_from_counts([1, 2], 10)
