@@ -9,7 +9,13 @@ the substrate is regenerated for that run), then seed selection, then the
 dynamics draws.  Runs therefore commute: records are a pure function of
 (config, run_index), whatever the execution order or worker count.
 
-Execution: ensembles and sweeps share one executor.  Configs that share
+Execution: ensembles and sweeps share one executor.  Configs with the
+same dynamics key give the same ensemble, so it runs once and every one
+of them gets it.  A global run reads only n (its seeds and its rule see
+nothing else of the graph), so a global config's key is (n, scheme,
+seed_count, effective max_steps, master_seed, runs, metrics); a ``file``
+spec keeps the spec itself in place of n, since n, and any load error,
+come from the file.  Any other config is its own key.  Configs that share
 a graph key (graph spec, master_seed, regenerate flag) draw the identical
 graph for every run, so they run together, run-major: run i's graph is
 built once and every config with at least i+1 runs uses it.  A sweep uses
@@ -360,18 +366,37 @@ def run_ensemble(config: SimConfig, workers: int = 1,
     return result
 
 
-def _execute(configs, workers: int, collect_curves: bool = False):
-    """Run every config's ensemble, building each distinct graph once.
+def _dynamics_key(config: SimConfig):
+    """What a config's records are a function of (see the module docstring)."""
+    if config.model.kind != "global":
+        return config
+    spec = config.graph
+    if spec.generator == "file":
+        n, cap = spec, config.max_steps
+    else:
+        n, cap = spec.n, config.effective_max_steps(spec.n)
+    return (n, config.scheme, config.seed_count, cap, config.master_seed,
+            config.runs, config.metrics)
 
-    Configs are grouped by graph key; a group is cut into run-index chunks
+
+def _execute(configs, workers: int, collect_curves: bool = False):
+    """Run every distinct ensemble once, building each distinct graph once.
+
+    The first config of each dynamics key runs for all that share it.
+    These are grouped by graph key; a group is cut into run-index chunks
     (one chunk when serial, else ceil(runs / (4 * workers)) runs each) that
     run in one process pool, never of more workers than chunks.  Yields
     (config position, EnsembleResult or the exception of its first failing
     run) as soon as a group's last chunk is in, so only one group's records
     are held at a time.
     """
-    groups = {}  # configs with equal keys draw the same graph for every run
+    by_key = {}  # dynamics key -> positions of the configs that have it
     for position, config in enumerate(configs):
+        by_key.setdefault(_dynamics_key(config), []).append(position)
+    sharers = {positions[0]: positions for positions in by_key.values()}
+    groups = {}  # configs with equal keys draw the same graph for every run
+    for position in sharers:
+        config = configs[position]
         key = (config.graph, config.master_seed, config.regenerate_graph_per_run)
         groups.setdefault(key, []).append(position)
     tasks = []  # (group members, run indices, is the group's last chunk)
@@ -401,9 +426,10 @@ def _execute(configs, workers: int, collect_curves: bool = False):
             if last:
                 for position in members:
                     items = outputs.pop(position)
-                    yield position, (errors[position] if position in errors else
-                                     _ensemble(configs[position], items,
-                                               collect_curves))
+                    result = (errors[position] if position in errors else
+                              _ensemble(configs[position], items, collect_curves))
+                    for sharer in sharers[position]:
+                        yield sharer, result
 
 
 def _ensemble(config: SimConfig, outputs, collect_curves: bool) -> EnsembleResult:
@@ -471,9 +497,10 @@ def sweep(base: SimConfig, axes, workers: int = 1) -> list:
     ``axes`` is a sequence of (dotted_key, values) pairs; cells are listed
     in lexicographic order over the declared axis order.  A failing cell is
     recorded with its error message and the sweep continues.  Cells that
-    share a graph key run together, each run's graph built once for all of
-    them, in one process pool; every cell's result is the one
-    ``run_ensemble`` gives for it alone.
+    share a dynamics key share one ensemble, and cells that share a graph
+    key run together, each run's graph built once for all of them, in one
+    process pool; every cell's result is the one ``run_ensemble`` gives
+    for it alone.
     """
     axes = list(axes)
     if not axes:

@@ -12,6 +12,7 @@ UTF-8 with LF line endings.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import inspect
 import numbers
@@ -67,12 +68,13 @@ class Graph:
         n = config_value("node count", "int", n)
         if n < 1:
             raise ValueError("node count must be >= 1")
-        arcs = arcs if isinstance(arcs, np.ndarray) else list(arcs)
-        arr = np.asarray(arcs)
+        # numpy would read a bool beside integers as one, so every id of a
+        # non-array input is checked on its own
+        arr = arcs if isinstance(arcs, np.ndarray) else np.asarray(list(arcs), dtype=object)
         if arr.size == 0:
             arr = np.zeros((0, 2), dtype=np.int64)
-        if arr.dtype.kind not in "iu":  # ids beyond int64 also land here
-            arr = np.asarray(arcs, dtype=object)
+        if arr.dtype.kind not in "iu":
+            arr = arr.astype(object, copy=False)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("arcs must be (v, u) pairs")
         if arr.dtype == object:
@@ -182,12 +184,17 @@ def watts_strogatz(n: int, k: int, beta: float, rng: np.random.Generator) -> Gra
     Draw order: edges are visited j-major (j = 1..k/2, then i = 0..n-1);
     each visit draws one ``rng.random()`` and rewires when it is below
     beta, each attempt drawing ``rng.integers(n)``.  No draws when beta=0.
+    These draws are read from the raw words of the stream, which is why
+    the stream must be PCG64 (the one ``numpy.random.default_rng`` and
+    ``derive_graph_rng`` give); the generator ends where those calls
+    would leave it.
 
     Args:
         n: Node count.
         k: Even lattice degree, 0 < k < n.
         beta: Rewiring probability in [0, 1].
-        rng: Seeded random stream.
+        rng: Seeded random stream; when beta > 0 its bit generator must be
+            PCG64, else ValueError.
     """
     GraphSpec("watts_strogatz", n=n, k=k, beta=beta)  # checks the arguments
 
@@ -206,34 +213,20 @@ def _rewire(n: int, near: np.ndarray, codes: np.ndarray, beta: float,
             rng: np.random.Generator) -> np.ndarray:
     """Apply the rewiring pass to the lattice edge codes.
 
-    Draw for draw the same as one ``rng.random()`` per edge: the decision
-    doubles are drawn in blocks, and after a hit the stream is rewound to
-    the block start and the doubles up to the hit drawn again, so the
-    ``integers`` attempts that follow see exactly the scalar loop's stream
-    (including the cached 32-bit half, which ``random`` never touches).
+    Draw for draw the same as one ``rng.random()`` per edge and one
+    ``rng.integers(n)`` per attempt, read from raw PCG64 words by
+    :class:`_RawDraws`, which leaves the stream where those calls would.
     """
+    draws = _RawDraws(rng, beta)
     edges = set(codes.tolist())
-    bits = rng.bit_generator
-    # A block of 3/beta draws holds no hit with odds ~e^-3.  From beta=0.5
-    # the first draw is a hit as often as not, and a rewind costs more than
-    # the lookahead saves, so there the blocks shrink to single draws.
-    block = int(3.0 / beta) if beta < 0.5 else 1
     e, total = 0, codes.size
-    while e < total:
-        size = min(block, total - e)
-        start = bits.state if size > 1 else None
-        draws = rng.random(size)
-        hit = int((draws < beta).argmax())
-        if draws[hit] >= beta:
-            e += size
-            continue
-        if hit + 1 < size:
-            bits.state = start
-            rng.random(hit + 1)
-        e += hit
+    while True:
+        e += draws.misses(total - e)
+        if e == total:
+            break
         i, old = int(near[e]), int(codes[e])
         for _ in range(n):
-            w = int(rng.integers(n))
+            w = draws.integers(n)
             if w == i:
                 continue
             new = i * n + w if i < w else w * n + i
@@ -244,7 +237,85 @@ def _rewire(n: int, near: np.ndarray, codes: np.ndarray, beta: float,
             break
         # all attempts collided: keep the original edge
         e += 1
+    draws.close()
     return np.fromiter(edges, dtype=np.int64, count=len(edges))
+
+
+_LOW32 = 0xFFFFFFFF
+
+
+class _RawDraws:
+    """``Generator.random()`` < beta and ``Generator.integers(n)`` read from
+    the raw 64-bit words of a PCG64 stream, value for value.
+
+    A double takes one word w and is (w >> 11) * 2**-53.  ``integers(n)``,
+    for 2 <= n <= 2**32, is Lemire's bounded step over 32-bit reads.  A
+    32-bit read takes the cached half if there is one (``has_uint32``),
+    else the low half of a fresh word, caching its high half
+    (``uinteger``); doubles leave the cache alone.  Words are drawn in
+    blocks with ``random_raw``, each block's hits (words whose double is
+    below ``beta``) found at once.  ``close`` sets the stream to its start
+    plus the words read, with the cache the scalar calls would leave.
+    """
+
+    def __init__(self, rng: np.random.Generator, beta: float):
+        self.bits = rng.bit_generator
+        if type(self.bits) is not np.random.PCG64:
+            raise ValueError("watts_strogatz reads raw PCG64 words, so its rng "
+                             "needs a PCG64 bit generator, not "
+                             f"{type(self.bits).__name__}")
+        self.start = self.bits.state
+        self.cached, self.half = self.start["has_uint32"], self.start["uinteger"]
+        self.beta = beta
+        self.words, self.hits, self.pos = [], [], 0  # pos: words read so far
+
+    def _draw(self, size: int) -> None:
+        block = self.bits.random_raw(size)
+        hits = np.flatnonzero((block >> 11) * 2.0 ** -53 < self.beta)
+        self.hits += (hits + len(self.words)).tolist()
+        self.words += block.tolist()
+
+    def misses(self, limit: int) -> int:
+        """Read doubles up to the first hit, at most ``limit`` of them, and
+        return how many missed before it (``limit`` when none hit)."""
+        start, end = self.pos, self.pos + limit
+        while True:
+            h = bisect.bisect_left(self.hits, start)
+            if h < len(self.hits) and self.hits[h] < end:
+                self.pos = self.hits[h] + 1
+                return self.hits[h] - start
+            if len(self.words) >= end:
+                self.pos = end
+                return limit
+            # the doubles left, and a half word per expected attempt
+            left = end - len(self.words)
+            self._draw(left + int(left * self.beta / 2) + 64)
+
+    def _uint32(self) -> int:
+        if self.cached:
+            self.cached = 0
+            return self.half
+        if self.pos == len(self.words):
+            self._draw(64)
+        word = self.words[self.pos]
+        self.pos += 1
+        self.cached, self.half = 1, word >> 32
+        return word & _LOW32
+
+    def integers(self, n: int) -> int:
+        m = self._uint32() * n
+        if m & _LOW32 < n:
+            threshold = (1 << 32) % n
+            while m & _LOW32 < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def close(self) -> None:
+        self.bits.state = self.start
+        self.bits.advance(self.pos)
+        state = self.bits.state
+        state["has_uint32"], state["uinteger"] = self.cached, self.half
+        self.bits.state = state
 
 
 def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
@@ -349,6 +420,10 @@ def load_edge_list(source: PathOrFile) -> Graph:
             arcs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise EdgeListError(f"non-integer endpoint in {line!r}", lineno) from None
+    try:  # an int64 array skips Graph's per-id check; ids beyond int64 take it
+        arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        pass
     try:
         return Graph(n, arcs)
     except ArcError as exc:

@@ -437,7 +437,8 @@ class TestGroupedSweep:
         graphs = [{"type": "watts_strogatz", "n": 30, "k": 4, "beta": 0.2},
                   {"type": "watts_strogatz", "n": 30, "k": 5, "beta": 0.2},
                   {"type": "file", "path": str(tmp_path / "missing.edges")},
-                  {"type": "file", "path": str(edges)}]
+                  {"type": "file", "path": str(edges)},
+                  {"type": "watts_strogatz", "n": 30, "k": 6, "beta": 0.5}]
         axes = [("graph", graphs), ("regenerate_graph_per_run", [True, False]),
                 ("runs", [2, 3]), ("model", ["group", "global"]),
                 ("seed_count", [1, 25])]
@@ -455,6 +456,11 @@ class TestGroupedSweep:
         # the seed_count=1 cells sharing that graph still succeed
         assert all((c.error is None) == (dict(c.assignments)["seed_count"] == 1)
                    for c in cells_on(graphs[3]))
+        # global cells on the two valid 30-node graphs share their ensembles
+        global_on = [[c for c in cells_on(doc) if dict(c.assignments)["model"] == "global"]
+                     for doc in (graphs[0], graphs[4])]
+        assert all(c.error is None for c in global_on[1])
+        assert [c.stats for c in global_on[0]] == [c.stats for c in global_on[1]]
 
     def test_each_graph_is_built_once_per_run(self, built_graphs):
         base = SimConfig(graph=GraphSpec("watts_strogatz", n=30, k=4, beta=0.2),
@@ -468,6 +474,45 @@ class TestGroupedSweep:
         sweep(base, [("regenerate_graph_per_run", [False]),
                      ("model", ["group", "global"])])
         assert len(built_graphs) == 1
+
+    def test_global_cells_run_once_per_dynamics_key(self, monkeypatch,
+                                                     built_graphs):
+        executed = []
+        execute_run = experiment._execute_run
+
+        def counting_run(config, g, run_index, collect_curves):
+            executed.append(config.model.kind)
+            return execute_run(config, g, run_index, collect_curves)
+
+        monkeypatch.setattr(experiment, "_execute_run", counting_run)
+        base = SimConfig(graph=GraphSpec("watts_strogatz", n=30, k=4, beta=0.2),
+                         model=GLOBAL, master_seed=5, runs=3, metrics=(0.5,))
+        grid = [("graph.k", [4, 6]), ("graph.beta", [0.1, 0.3])]
+        cells = sweep(base, grid)
+        assert executed == ["global"] * 3  # runs, not 4 x runs
+        assert all(cell.stats == cells[0].stats for cell in cells)
+        assert cells[0].error is None
+        assert len(built_graphs) == 3  # the first cell's graphs only
+        executed.clear()
+        built_graphs.clear()
+        sweep(base, grid + [("model", ["group", "global"])])
+        assert executed.count("global") == 3 and executed.count("group") == 4 * 3
+        assert len(built_graphs) == 4 * 3
+        executed.clear()
+        # the default cap is 200 * n, and a global run reads no graph draws
+        sweep(base, [("max_steps", [None, 200 * 30]),
+                     ("regenerate_graph_per_run", [True, False])])
+        assert executed == ["global"] * 3
+
+    @pytest.mark.parametrize("key,values", [
+        ("graph.n", [30, 40]), ("scheme", list(SCHEMES)), ("seed_count", [1, 2]),
+        ("max_steps", [None, 6000, 5]), ("master_seed", [5, 6]), ("runs", [3, 4]),
+        ("metrics", [[0.5], [0.5, 0.9]])])
+    def test_global_cells_differing_in_a_key_field_run_apart(self, key, values):
+        base = SimConfig(graph=GraphSpec("watts_strogatz", n=30, k=4, beta=0.2),
+                         model=GLOBAL, master_seed=5, runs=3, metrics=(0.5,))
+        cells = sweep(base, [("graph.beta", [0.1, 0.3]), (key, values)])
+        assert cells == [self.alone(base, cell.assignments) for cell in cells]
 
 
 class TestGlobalCountOracle:

@@ -238,7 +238,11 @@ def reference_watts_strogatz(n: int, k: int, beta: float,
 
 WS_PARAMS = [(3, 2, 1.0), (4, 2, 0.5), (5, 4, 1.0), (7, 6, 1.0), (8, 6, 0.9),
              (12, 10, 0.5), (20, 4, 0.0), (20, 4, 1.0), (30, 6, 0.02),
-             (50, 4, 0.1), (64, 8, 0.3), (100, 10, 0.7), (200, 6, 0.05)]
+             (50, 4, 0.1), (64, 8, 0.3), (100, 10, 0.7), (200, 6, 0.05),
+             # dense: every attempt collides, and more words are drawn mid-attempt
+             (24, 22, 1.0),
+             # a hit per edge with frequent collisions runs past the first block
+             (100, 20, 1.0)]
 
 
 @pytest.mark.parametrize("n,k,beta", WS_PARAMS)
@@ -253,3 +257,24 @@ def test_watts_strogatz_matches_scalar_reference(n, k, beta):
         assert fast.bit_generator.state == slow.bit_generator.state
         assert fast.integers(n) == slow.integers(n)
         assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_raw_bounded_step_matches_integers(cached):
+    """At n = 3 * 2**30 Lemire's step rejects a quarter of its 32-bit reads."""
+    n = 3 * 2 ** 30
+    fast, slow = np.random.default_rng(17), np.random.default_rng(17)
+    if cached:  # enter with the cached 32-bit half set
+        assert fast.integers(7) == slow.integers(7)
+    draws = graph._RawDraws(fast, 0.0)
+    assert [draws.integers(n) for _ in range(500)] == \
+        [int(slow.integers(n)) for _ in range(500)]
+    draws.close()
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert fast.random() == slow.random()
+
+
+def test_watts_strogatz_needs_pcg64():
+    for bits in (np.random.MT19937(3), np.random.PCG64DXSM(3)):
+        with pytest.raises(ValueError, match="PCG64 bit generator"):
+            graph.watts_strogatz(20, 4, 0.1, np.random.Generator(bits))

@@ -61,7 +61,8 @@ class TestGraphCore:
                  ([(0, 1), (1, 2.5)], (1, 2.5), 1),
                  ([("0", "2")], ("0", "2"), 0),
                  (np.array([[True, False]]), (True, False), 0),
-                 ([(0, 1), (1, None)], (1, None), 1)]
+                 ([(0, 1), (1, None)], (1, None), 1),
+                 ([(True, 2)], (True, 2), 0)]
         for given, arc, index in cases:
             with pytest.raises(ArcError) as info:
                 Graph(3, given)
