@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import inspect
+import io
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -49,15 +50,23 @@ class ArcError(ValueError):
         super().__init__(f"arc {self.arc}: {rule}")
 
 
+# The largest node count with n*n < 2**63, so every arc (v, u) has an int64
+# code v*n + u; Graph orders and compares arcs by that code.
+MAX_NODES = 3_037_000_499
+
+
 class Graph:
-    """Immutable directed graph over node ids 0..n-1.
+    """Immutable directed graph over node ids 0..n-1, 1 <= n <= MAX_NODES.
 
     Rejects a node id that is not an integer (a float, string or bool),
     then an out-of-range endpoint, then a self-loop, then a duplicate arc:
     an ArcError names the first offender in input order (for a duplicate,
-    its second occurrence).  Adjacency lists are sorted
-    ascending, and ``in_neighbors``/``out_neighbors`` are exact transposes
-    of each other by construction.
+    its second occurrence).  Arcs are ordered by the one int64 code
+    ``v*n + u``: input whose codes already strictly increase, such as a
+    file ``save_edge_list`` wrote, is neither sorted nor scanned for
+    duplicates; other input is sorted once, stably.  Adjacency lists are
+    sorted ascending, and ``in_neighbors``/``out_neighbors`` are exact
+    transposes of each other by construction.
     """
 
     __slots__ = ("n", "arc_count", "_arc_src", "_arc_dst",
@@ -68,6 +77,8 @@ class Graph:
         n = config_value("node count", "int", n)
         if n < 1:
             raise ValueError("node count must be >= 1")
+        if n > MAX_NODES:
+            raise ValueError(f"node count must be <= {MAX_NODES}")
         # numpy would read a bool beside integers as one, so every id of a
         # non-array input is checked on its own
         arr = arcs if isinstance(arcs, np.ndarray) else np.asarray(list(arcs), dtype=object)
@@ -90,11 +101,14 @@ class Graph:
             raise ArcError(arr, "self-loop", loops.argmax())
 
         # canonical order: by source, then destination
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        src, dst = arr[order, 0], arr[order, 1]
-        repeats = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if repeats.any():  # lexsort is stable, so each repeat is a later occurrence
-            raise ArcError(arr, "duplicate", order[1:][repeats].min())
+        code = arr[:, 0] * n + arr[:, 1]
+        if not (code[1:] > code[:-1]).all():
+            order = np.argsort(code, kind="stable")
+            code = code[order]
+            repeats = code[1:] == code[:-1]
+            if repeats.any():  # the sort is stable, so each repeat is a later occurrence
+                raise ArcError(arr, "duplicate", order[1:][repeats].min())
+        src, dst = np.divmod(code, n)
 
         self.n = n
         self.arc_count = int(src.size)
@@ -103,7 +117,7 @@ class Graph:
         self._out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self._out_indptr[1:])
         self._out_indices = dst  # already sorted by (src, dst)
-        in_order = np.lexsort((src, dst))
+        in_order = np.argsort(dst, kind="stable")  # ties keep ascending src
         self._in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=self._in_indptr[1:])
         self._in_indices = src[in_order]
@@ -380,24 +394,67 @@ def directed_cycle(n: int) -> Graph:
 # -- persistence ------------------------------------------------------------
 
 
+_SAVE_BLOCK = 65_536  # arcs formatted per write
+
+
 def save_edge_list(g: Graph, sink: PathOrFile) -> None:
-    """Write ``g`` in the edge-list text format (header n, then "v u" lines)."""
-    lines = [str(g.n)]
-    lines.extend(f"{v} {u}" for v, u in zip(g._arc_src.tolist(), g._arc_dst.tolist()))
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text, encoding="utf-8")
+    """Write ``g`` in the edge-list text format (header n, then "v u" lines),
+    one block of arcs at a time."""
+    if not hasattr(sink, "write"):
+        with Path(sink).open("w", encoding="utf-8") as handle:
+            save_edge_list(g, handle)
+        return
+    sink.write(f"{g.n}\n")
+    for start in range(0, g.arc_count, _SAVE_BLOCK):
+        block = slice(start, start + _SAVE_BLOCK)
+        sink.write("".join(f"{v} {u}\n" for v, u in zip(g._arc_src[block].tolist(),
+                                                          g._arc_dst[block].tolist())))
 
 
 def load_edge_list(source: PathOrFile) -> Graph:
     """Parse the edge-list text format back into a Graph.  An EdgeListError
-    names the line of malformed text, else that of the arc Graph rejects."""
+    names the line of malformed text, else that of the arc Graph rejects.
+
+    A plain text (a header of ASCII digits on the first line, then only
+    ASCII digits, spaces, tabs and LFs) that holds a valid graph is read by
+    numpy's C parser.  Everything else goes to the line parser, which
+    accepts the same texts and alone names the offending line.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
+    plain = _plain_arcs(text)
+    if plain is not None:
+        try:
+            return Graph(*plain)
+        except ArcError:
+            pass  # the line parser names the arc's line
+    return _load_lines(text)
+
+
+def _plain_arcs(text: str) -> tuple[int, np.ndarray] | None:
+    """The node count and arc array of a plain edge list, else None."""
+    header = text.partition("\n")[0]
+    # MAX_NODES has 10 digits; a longer header goes to the line parser
+    if not (text.isascii() and header.isdigit() and len(header) <= 10):
+        return None
+    n = int(header)
+    data = text.encode("ascii")
+    if not 1 <= n <= MAX_NODES or data.translate(None, b"0123456789 \t\n"):
+        return None
+    if len(data.translate(None, b" \t\n")) == len(header):  # loadtxt warns on no rows
+        return n, np.zeros((0, 2), dtype=np.int64)
+    try:  # a changing column count, or an id beyond int64
+        arcs = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None,
+                          skiprows=1, ndmin=2)
+    except ValueError:
+        return None
+    return (n, arcs) if arcs.shape[1] == 2 else None
+
+
+def _load_lines(text: str) -> Graph:
+    """The edge list parsed line by line; errors name their file line."""
     # (file line, stripped text) for each non-blank line
     rows = [(lineno, line) for lineno, raw in enumerate(text.split("\n"), start=1)
             if (line := raw.strip())]
@@ -410,6 +467,8 @@ def load_edge_list(source: PathOrFile) -> Graph:
         raise EdgeListError(f"header is not an integer: {header!r}", lineno) from None
     if n < 1:
         raise EdgeListError("header node count must be >= 1", lineno)
+    if n > MAX_NODES:
+        raise EdgeListError(f"header node count must be <= {MAX_NODES}", lineno)
 
     arcs: list[tuple[int, int]] = []
     for lineno, line in rows[1:]:
@@ -538,6 +597,8 @@ class GraphSpec:
                 raise ValueError("n: must exceed m0")
         elif gen != "file" and self.n < 2:
             raise ValueError("n: must be >= 2")
+        if self.n is not None and self.n > MAX_NODES:
+            raise ValueError(f"n: must be <= {MAX_NODES}")
 
     @property
     def is_random(self) -> bool:

@@ -178,6 +178,20 @@ class TestExitCodes:
         assert code == 1
         assert f"error: {key}: expected " in capsys.readouterr().err
 
+    def test_node_count_beyond_the_arc_code_limit_is_usage_error(self, tmp_path, capsys):
+        edges = tmp_path / "huge.edges"
+        edges.write_text("1000000000000\n0 1\n", encoding="utf-8")
+        for graph, message in [
+                ({"type": "file", "path": str(edges)},
+                 "error: line 1: header node count must be <= 3037000499"),
+                ({"type": "directed_cycle", "n": 10 ** 12},
+                 "error: graph.n: must be <= 3037000499")]:
+            config = write_config(tmp_path / "c.json", graph=graph)
+            code = main(["run", "--config", str(config), "--out",
+                         str(tmp_path / "out")])
+            assert code == 1
+            assert message in capsys.readouterr().err
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["run", "--out", "somewhere"]) == 1
         assert "error" in capsys.readouterr().err

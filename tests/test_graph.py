@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,25 @@ class TestGraphCore:
             assert (error.rule, error.arc, error.index) == (rule, arc, index)
             assert str(arc) in str(info.value)
 
+    def test_duplicate_named_at_its_second_occurrence_in_any_order(self):
+        rng = np.random.default_rng(8)
+        n = 50
+        codes = rng.choice(n * n, size=600, replace=False)
+        arcs = np.stack(np.divmod(codes, n), axis=1)
+        arcs = arcs[arcs[:, 0] != arcs[:, 1]]
+        for trial in range(20):
+            picks = rng.choice(len(arcs), size=30, replace=False)
+            given = np.concatenate([arcs, arcs[picks]])[rng.permutation(len(arcs) + 30)]
+            seen, second = set(), None
+            for i, arc in enumerate(map(tuple, given.tolist())):
+                if arc in seen:
+                    second = i
+                    break
+                seen.add(arc)
+            with pytest.raises(ArcError, match="duplicate") as info:
+                Graph(n, given)
+            assert info.value.index == second
+
     def test_rejects_node_ids_that_are_not_integers(self):
         cases = [(np.array([[0.9, 2.2]]), (0.9, 2.2), 0),
                  (np.array([[0.0, 1.0]]), (0.0, 1.0), 0),
@@ -91,6 +111,29 @@ class TestGraphCore:
     def test_rejects_empty_node_set(self):
         with pytest.raises(ValueError):
             Graph(0, [])
+
+    def test_node_count_is_capped_where_arc_codes_fit_int64(self):
+        limit = graph.MAX_NODES
+        assert limit ** 2 < 2 ** 63 <= (limit + 1) ** 2
+        for n in (limit + 1, 10 ** 12):
+            with pytest.raises(ValueError, match=f"node count must be <= {limit}"):
+                Graph(n, [])
+
+    def test_arc_order_and_dtype_do_not_change_the_graph(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        codes = rng.choice(n * n, size=300, replace=False)
+        arcs = np.stack(np.divmod(codes, n), axis=1)
+        arcs = arcs[arcs[:, 0] != arcs[:, 1]]
+        by_src = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+        by_dst = arcs[np.lexsort((arcs[:, 0], arcs[:, 1]))]
+        for given in (arcs, by_src, by_src[::-1], by_src.astype(np.int32),
+                      [tuple(a) for a in arcs.tolist()]):
+            g = Graph(n, given)
+            assert np.array_equal(g.arcs, by_src)
+            assert np.array_equal(g._in_indices, by_dst[:, 0])
+            assert all(np.array_equal(g.out_neighbors(v), by_src[by_src[:, 0] == v, 1])
+                       for v in range(n))
 
     def test_arcless_graph_is_fine(self):
         g = Graph(4, [])
@@ -314,6 +357,106 @@ class TestEdgeList:
         assert arc_set(g) == {(0, 1), (1, 2)}
 
 
+def _no_line_parser(text):
+    raise AssertionError("reached the line parser")
+
+
+class TestEdgeListReaders:
+    """numpy reads plain edge lists; the line parser takes every other text,
+    so what is accepted, each message and each line number stay the same."""
+
+    @pytest.mark.parametrize("text", [
+        "3\n0\t1\n1 2\n", "3\n0  1 \t\n\t1\t 2  \n", "3\n0 1\n \t\n\n1 2\n",
+        "3\n0 1\n1 2", "4\n", "4", "4\n\n\n", "4\n \t\n", "8\n007 0003\n0 4\n",
+        "0003\n2 0\n0 1\n",
+    ])
+    def test_plain_texts_read_as_the_line_parser_reads_them(self, monkeypatch, text):
+        expected = graph._load_lines(text)
+        monkeypatch.setattr(graph, "_load_lines", _no_line_parser)
+        assert load_edge_list(io.StringIO(text)) == expected
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("3\r\n0 1\r\n1 2\r\n", [(0, 1), (1, 2)]),
+        ("3\r0 1\n", "line 1: header is not an integer: '3\\r0 1'"),
+        ("3\n0 1\r1 2\n", "line 2: expected 'v u', got '0 1\\r1 2'"),
+        ("3\n+1 2\n", [(1, 2)]),
+        ("+3\n0 1\n", [(0, 1)]),
+        ("3\n-1 2\n", "line 2: arc (-1, 2): out of range for header n=3"),
+        ("-3\n", "line 1: header node count must be >= 1"),
+        ("20\n1_0 2\n", [(10, 2)]),
+        ("1_0\n0 9\n", [(0, 9)]),
+        ("\u0663\n0 1\n", [(0, 1)]),
+        ("\u00b3\n0 1\n", "line 1: header is not an integer: '\u00b3'"),
+        ("3\n\u0662 1\n", [(2, 1)]),
+        ("3\n\u00b2 1\n", "line 2: non-integer endpoint in '\u00b2 1'"),
+        ("3\n0 9223372036854775808\n",
+         "line 2: arc (0, 9223372036854775808): out of range for header n=3"),
+        ("3\n0 1\n1 18446744073709551616\n",
+         "line 3: arc (1, 18446744073709551616): out of range for header n=3"),
+        ("3\n0\n", "line 2: expected 'v u', got '0'"),
+        ("3\n0 1\n1\n", "line 3: expected 'v u', got '1'"),
+        ("3\n0 1 2\n", "line 2: expected 'v u', got '0 1 2'"),
+        ("3\n0 1\n1 2 0\n", "line 3: expected 'v u', got '1 2 0'"),
+        ("3\n0 1 2\n1 2 0\n", "line 2: expected 'v u', got '0 1 2'"),
+        ("\n3\n0 1\n", [(0, 1)]),
+        (" 3\n0 1\n", [(0, 1)]),
+        ("00000000003\n0 1\n", [(0, 1)]),
+        ("3\n0 1\x0b\n", [(0, 1)]),
+        ("3\n1 1\n", "line 2: arc (1, 1): self-loop"),
+        ("3\n0 1\n\n0 1\n", "line 4: arc (0, 1): duplicate"),
+        ("3\n0 1\n0 1\n2 2\n0 5\n", "line 5: arc (0, 5): out of range for header n=3"),
+        ("3\n1 1\n0 x\n", "line 3: non-integer endpoint in '0 x'"),
+        ("3037000500\n", "line 1: header node count must be <= 3037000499"),
+        ("1000000000000\n0 1\n", "line 1: header node count must be <= 3037000499"),
+        ("9" * 5000 + "\n", "line 1: header is not an integer: '" + "9" * 5000 + "'"),
+    ])
+    def test_declined_texts_behave_as_the_line_parser_says(self, text, outcome):
+        if isinstance(outcome, str):
+            with pytest.raises(EdgeListError) as info:
+                load_edge_list(io.StringIO(text))
+            assert str(info.value) == outcome
+        else:
+            assert arc_set(load_edge_list(io.StringIO(text))) == set(outcome)
+
+    def test_crlf_through_a_path_and_a_stream(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"3\r\n0 1\r\n1 2\r\n")
+        for source in (path, io.StringIO("3\r\n0 1\r\n1 2\r\n")):
+            assert load_edge_list(source) == Graph(3, [(0, 1), (1, 2)])
+
+    def test_saved_files_never_reach_the_line_parser(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph, "_load_lines", _no_line_parser)
+        for g in (watts_strogatz(300, 6, 0.2, rng_for(13)), directed_cycle(2), Graph(4, [])):
+            path = tmp_path / "g.edges"
+            save_edge_list(g, path)
+            assert load_edge_list(path) == g
+
+    def test_loading_a_saved_file_takes_at_most_128_bytes_per_arc(self, tmp_path):
+        g = watts_strogatz(8_000, 6, 0.1, rng_for(14))
+        path = tmp_path / "g.edges"
+        save_edge_list(g, path)
+        tracemalloc.start()
+        try:
+            h = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h == g and h.arc_count == 48_000
+        assert peak <= 128 * h.arc_count
+
+    def test_saving_in_blocks_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        g = watts_strogatz(25, 4, 0.3, rng_for(10))
+        lines = [str(g.n)] + [f"{v} {u}" for v, u in g.arcs.tolist()]
+        expected = "\n".join(lines) + "\n"
+        for block in (1, 7, 50, 100, 101):
+            monkeypatch.setattr(graph, "_SAVE_BLOCK", block)
+            buf = io.StringIO()
+            save_edge_list(g, buf)
+            assert buf.getvalue() == expected
+            save_edge_list(g, tmp_path / "g.edges")
+            assert (tmp_path / "g.edges").read_bytes() == expected.encode()
+
+
 class TestGraphSpec:
     def test_build_each_generator(self):
         rng = rng_for(12)
@@ -349,3 +492,8 @@ class TestGraphSpec:
             GraphSpec("barabasi_albert", n=2, m_attach=2)
         with pytest.raises(ValueError, match="generator"):
             GraphSpec("mystery", n=5)
+        for gen, args in [("directed_cycle", {}), ("complete", {}),
+                          ("watts_strogatz", {"k": 4, "beta": 0.1}),
+                          ("barabasi_albert", {"m_attach": 2})]:
+            with pytest.raises(ValueError, match="^n: must be <= 3037000499$"):
+                GraphSpec(gen, n=graph.MAX_NODES + 1, **args)
