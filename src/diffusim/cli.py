@@ -117,6 +117,8 @@ def _parse_override(text: str) -> tuple:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ValueError(f"override {key!r}: value nests too deeply") from None
     return key, value
 
 
@@ -127,6 +129,8 @@ def load_config_document(path: str, overrides) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     for item in overrides or []:
@@ -230,8 +234,11 @@ def read_series_csv(path: str) -> np.ndarray:
     rise by exactly 1 per row.
     """
     reader = csv.reader(Path(path).read_text(encoding="utf-8").splitlines())
-    rows = [(reader.line_num, row) for row in reader
-            if any(col.strip() for col in row)]
+    try:
+        rows = [(reader.line_num, row) for row in reader
+                if any(col.strip() for col in row)]
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty series file")
     header = [col.strip().lower() for col in rows[0][1]]
@@ -364,14 +371,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # EdgeListError among them
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # EdgeListError among them; a key may hold a newline
+        print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:  # pragma: no cover - invariant violations
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -23,10 +23,8 @@ from importlib import resources
 
 import numpy as np
 
-from .dynamics import GLOBAL, GROUP
+from .dynamics import GLOBAL, GROUP, MODEL_KINDS
 from .experiment import SimConfig, config_from_dict, run_ensemble
-
-MODEL_ORDER = ("fixed", "group", "global")
 
 # Deterministic starting lattice for the refinement: the time offsets are
 # OFFSET_POINTS evenly spaced values spanning +-L/4 of the reference curve
@@ -177,15 +175,15 @@ def fit_series(obs, refs) -> FitResult:
     """
     obs = fit_input(obs)
     by_name = {ref.model: ref for ref in refs}
-    if set(by_name) != set(MODEL_ORDER):
+    if set(by_name) != set(MODEL_KINDS):
         raise ValueError("expected exactly one reference curve per model")
 
     table = []
-    for name in MODEL_ORDER:
+    for name in MODEL_KINDS:
         sse, a, b, c = _fit_one(obs, by_name[name].curve)
         table.append(ModelFit(model=name, sse=sse, time_scale=a,
                               time_offset=b, amplitude=c))
-    best = min(table, key=lambda m: (m.sse, MODEL_ORDER.index(m.model)))
+    best = min(table, key=lambda m: (m.sse, MODEL_KINDS.index(m.model)))
     low_confidence = bool(np.all(obs == obs[0]))
     return FitResult(best_model=best.model, table=tuple(table),
                      low_confidence=low_confidence)

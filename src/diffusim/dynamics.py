@@ -181,7 +181,7 @@ def _run_synchronous(model, g, times, t, max_steps, rng):
     i_count = n - susceptible.size
     if kind != "global":
         inf_in = _infected_in_counts(g, times >= 0)
-        in_deg, indptr, indices = g.in_degrees, g._out_indptr, g._out_indices
+        in_deg, indptr, indices = g.in_degrees, g._out_indptr, g._arc_dst
         out_deg = g.out_degrees
         if kind == "fixed":
             table = np.asarray(_fixed_prob_table(model.transmission_prob,
@@ -241,7 +241,7 @@ def _run_async(model, g, times, t, max_steps, rng):
             rows = [_fixed_prob_table(model.transmission_prob, max(in_deg))] * n
         inf_in = inf_in.tolist()
         prob = [row[d] for row, d in zip(rows, inf_in)]
-        indptr, flat = g._out_indptr.tolist(), g._out_indices.tolist()
+        indptr, flat = g._out_indptr.tolist(), g._arc_dst.tolist()
         # absorbed before the first draw; fixed(q) has p(1) = 0 iff every p is 0
         if boundary == 0 or model.kind == "fixed" and rows[0][1] == 0.0:
             limit = t

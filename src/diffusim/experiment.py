@@ -295,11 +295,15 @@ def _execute_run(config: SimConfig, g: Graph, run_index: int,
 def run_graph(config: SimConfig, run_index: int) -> Graph:
     """The graph run ``run_index`` uses: a random graph is drawn from graph
     stream ``run_index``, or from index 0's when it is shared by all runs."""
-    rng = None
-    if config.graph.is_random:
+    spec, rng = config.graph, None
+    if spec.is_random:
         shared = not config.regenerate_graph_per_run
         rng = derive_graph_rng(config.master_seed, 0 if shared else run_index)
-    return build_graph(config.graph, rng)
+    try:
+        return build_graph(spec, rng)
+    except MemoryError:  # the loader itself names an edge list's header line
+        key, value = ("path", spec.path) if spec.generator == "file" else ("n", spec.n)
+        raise ValueError(f"graph.{key}: {value} does not fit in memory") from None
 
 
 def _run_group_chunk(configs, indices, collect_curves: bool):
@@ -439,8 +443,7 @@ def _ensemble(config: SimConfig, outputs, collect_curves: bool) -> EnsembleResul
     n = outputs[0][2]
     curve = None
     if collect_curves:
-        curve = _accumulate_curve([item[1] for item in outputs], n=n,
-                                  runs=config.runs)
+        curve = _accumulate_curve([item[1] for item in outputs], n=n)
     return EnsembleResult(records=records, stats=stats, curve=curve, n=n)
 
 
@@ -458,7 +461,7 @@ def _metric_stats(records, label: str) -> MetricStats:
                        censored_count=censored, runs=len(records))
 
 
-def _accumulate_curve(histories, n: int, runs: int) -> CurveStats:
+def _accumulate_curve(histories, n: int) -> CurveStats:
     """Exact integer per-step sums and square sums of the infected count.
 
     Each history is a run's sorted infection times and its last step.  The
@@ -473,8 +476,8 @@ def _accumulate_curve(histories, n: int, runs: int) -> CurveStats:
     for times, _ in histories:
         np.add.at(sums, times, 1)
         np.add.at(sumsq, times, 2 * np.arange(1, times.size + 1, dtype=np.int64) - 1)
-    mean_counts = np.cumsum(sums) / runs
-    var = np.cumsum(sumsq) / runs - mean_counts * mean_counts
+    mean_counts = np.cumsum(sums) / len(histories)
+    var = np.cumsum(sumsq) / len(histories) - mean_counts * mean_counts
     std_counts = np.sqrt(np.clip(var, 0.0, None))
     return CurveStats(mean_fraction=mean_counts / n, std_fraction=std_counts / n)
 

@@ -1,7 +1,7 @@
 """Directed graph substrates for diffusion runs.
 
 Nodes are dense integers 0..n-1.  A :class:`Graph` is immutable once built
-and keeps both in- and out-adjacency in CSR form, sorted so that iteration
+and keeps its arcs once, sorted by (source, destination) so that iteration
 order (and therefore every downstream random draw) is reproducible.  All
 random generators take an explicit ``numpy.random.Generator``; the same
 stream always yields the identical arc set.
@@ -64,14 +64,13 @@ class Graph:
     its second occurrence).  Arcs are ordered by the one int64 code
     ``v*n + u``: input whose codes already strictly increase, such as a
     file ``save_edge_list`` wrote, is neither sorted nor scanned for
-    duplicates; other input is sorted once, stably.  Adjacency lists are
-    sorted ascending, and ``in_neighbors``/``out_neighbors`` are exact
-    transposes of each other by construction.
+    duplicates; other input is sorted once, stably.  The sorted arcs are
+    the out-adjacency CSR; there is no in-adjacency, so ``in_neighbors``
+    scans all arcs into a new array, O(m).  Neighbour lists are ascending.
     """
 
-    __slots__ = ("n", "arc_count", "_arc_src", "_arc_dst",
-                 "_in_indptr", "_in_indices", "_out_indptr", "_out_indices",
-                 "_fingerprint")
+    __slots__ = ("n", "arc_count", "_arc_src", "_arc_dst", "_out_indptr",
+                 "_in_degrees", "_fingerprint")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray):
         n = config_value("node count", "int", n)
@@ -116,14 +115,9 @@ class Graph:
         self._arc_dst = dst
         self._out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self._out_indptr[1:])
-        self._out_indices = dst  # already sorted by (src, dst)
-        in_order = np.argsort(dst, kind="stable")  # ties keep ascending src
-        self._in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=self._in_indptr[1:])
-        self._in_indices = src[in_order]
+        self._in_degrees = np.bincount(dst, minlength=n)
         self._fingerprint = None
-        for a in (self._arc_src, self._arc_dst, self._out_indptr,
-                  self._out_indices, self._in_indptr, self._in_indices):
+        for a in (src, dst, self._out_indptr, self._in_degrees):
             a.setflags(write=False)
 
     # -- inspection --------------------------------------------------------
@@ -140,18 +134,17 @@ class Graph:
         return u
 
     def in_neighbors(self, u: int) -> np.ndarray:
-        """Nodes v with an arc v -> u, ascending (read-only view)."""
-        u = self._check_node(u)
-        return self._in_indices[self._in_indptr[u]:self._in_indptr[u + 1]]
+        """Nodes v with an arc v -> u, ascending (a new array, O(m))."""
+        return self._arc_src[self._arc_dst == self._check_node(u)]
 
     def out_neighbors(self, u: int) -> np.ndarray:
         """Nodes w with an arc u -> w, ascending (read-only view)."""
         u = self._check_node(u)
-        return self._out_indices[self._out_indptr[u]:self._out_indptr[u + 1]]
+        return self._arc_dst[self._out_indptr[u]:self._out_indptr[u + 1]]
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self._in_indptr)
+        return self._in_degrees
 
     @property
     def out_degrees(self) -> np.ndarray:
@@ -174,8 +167,6 @@ class Graph:
         return (self.n == other.n
                 and np.array_equal(self._arc_src, other._arc_src)
                 and np.array_equal(self._arc_dst, other._arc_dst))
-
-    __hash__ = None  # mutable-sized payload; identity hashing would mislead
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, arcs={self.arc_count})"
@@ -428,8 +419,8 @@ def load_edge_list(source: PathOrFile) -> Graph:
     if plain is not None:
         try:
             return Graph(*plain)
-        except ArcError:
-            pass  # the line parser names the arc's line
+        except (ArcError, MemoryError):
+            pass  # the line parser names the arc's or the header's line
     return _load_lines(text)
 
 
@@ -488,6 +479,8 @@ def _load_lines(text: str) -> Graph:
     except ArcError as exc:
         against = f" for header n={n}" if exc.rule == "out of range" else ""
         raise EdgeListError(f"{exc}{against}", rows[exc.index + 1][0]) from None
+    except MemoryError:
+        raise EdgeListError("header node count does not fit in memory", rows[0][0]) from None
 
 
 # -- declarative spec -------------------------------------------------------

@@ -76,7 +76,7 @@ def run_synchronous(model, g, times, t, max_steps, rng):
     in_deg = g.in_degrees
     i_count = int(np.count_nonzero(infected))
     out_indptr = g._out_indptr
-    out_indices = g._out_indices
+    out_indices = g._arc_dst
 
     while i_count < n and t < max_steps:
         susceptible = np.flatnonzero(~infected)
@@ -106,7 +106,7 @@ def run_async(model, g, times, t, max_steps, rng):
     infected = bytearray(infected_mask.tobytes())
     i_count = int(np.count_nonzero(infected_mask))
     indptr = g._out_indptr.tolist()
-    flat = g._out_indices.tolist()
+    flat = g._arc_dst.tolist()
     in_deg = g.in_degrees.tolist()
     inf_in_arr = _infected_in_counts(g, infected_mask)
     boundary = int(inf_in_arr[~infected_mask].sum())

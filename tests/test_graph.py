@@ -131,7 +131,8 @@ class TestGraphCore:
                       [tuple(a) for a in arcs.tolist()]):
             g = Graph(n, given)
             assert np.array_equal(g.arcs, by_src)
-            assert np.array_equal(g._in_indices, by_dst[:, 0])
+            assert np.array_equal(np.concatenate([g.in_neighbors(u) for u in range(n)]),
+                                  by_dst[:, 0])
             assert all(np.array_equal(g.out_neighbors(v), by_src[by_src[:, 0] == v, 1])
                        for v in range(n))
 
