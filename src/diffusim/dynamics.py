@@ -30,10 +30,14 @@ All draws come from an explicit numpy Generator in exactly the order
 documented above, so trajectories are bit-reproducible from (graph, seeds,
 scheme, stream).  A run leaves its generator just past its last draw.
 ``step`` is one step of the same kernel that ``run`` uses.
-The async kernel computes floor(u * n) for a whole block of doubles at once,
-and both kernels keep each susceptible node's p, refreshed when one of its
-in-neighbors is infected.  Neither changes which double is a pick or a
-decision, or the p a decision is compared with.
+The async kernel draws doubles in blocks that stop at the step cap, so it
+hands doubles back only when a run ends early, and computes floor(u * n)
+for a whole block at once.  When a block's last double is a susceptible
+node's pick, its decision is drawn alone.  Picks of nodes infected at a
+block's start are skipped unseen: such a double can only be a pick that
+draws no decision.  Both kernels keep each susceptible node's p, refreshed
+when one of its in-neighbors is infected.  None of this changes which
+double is a pick or a decision, or the p a decision is compared with.
 """
 from __future__ import annotations
 
@@ -226,7 +230,7 @@ def _run_async(model, g, times, t, max_steps, rng):
     infected = times >= 0
     i_count = int(np.count_nonzero(infected))
     limit = max_steps if i_count < n else t
-    # prob[u]: susceptible u's probability (unused under global), None once infected
+    # prob[u]: susceptible u's probability (0.0 under global), None once infected
     prob = [0.0] * n
     if local:
         inf_in = _infected_in_counts(g, infected)
@@ -249,47 +253,53 @@ def _run_async(model, g, times, t, max_steps, rng):
         prob[u] = None
 
     bits = rng.bit_generator
-
-    def block():  # the stream state before a block, each double's pick, the doubles
-        state, u = bits.state, rng.random(_READ_AHEAD)
-        return state, np.minimum((u * n).astype(np.int64), n - 1).tolist(), u.tolist()
-
-    start, picks, buf, bi = None, [], [], 0
-    # Reading past the end of a block raises IndexError, which draws the
-    # next block, so the loop itself makes no length checks.
+    pg = 0.0 if local else i_count / n  # the global rule's p; 0.0 under the others
     while t < limit:
-        try:
-            w = picks[bi]
-        except IndexError:
-            (start, picks, buf), bi = block(), 0
-            w = picks[0]
-        bi += 1
-        t += 1
-        p = prob[w]
-        if p is None:
-            continue
-        try:
-            r = buf[bi]
-        except IndexError:
-            (start, picks, buf), bi = block(), 0
-            r = buf[0]
-        bi += 1
-        if r < (p if local else i_count / n):
-            prob[w] = None
-            i_count += 1
-            times[w] = t
-            if i_count == n:
-                break
-            if local:
-                boundary -= inf_in[w]
-                for x in flat[indptr[w]:indptr[w + 1]]:
-                    if prob[x] is not None:
-                        inf_in[x] += 1
-                        prob[x] = rows[x][inf_in[x]]
-                        boundary += 1
-                if boundary == 0:
-                    break  # absorbed
-    if bi < len(buf):  # hand back the doubles read ahead but not used
-        bits.state = start
-        rng.random(bi)
+        # A block holds no more doubles than the steps left.  A double whose
+        # pick was infected at the block's start is always an infected pick,
+        # so when they are most of the block only the others are walked:
+        # each pick of a node then susceptible and the double after it.
+        size = min(_READ_AHEAD, limit - t)
+        start, u = bits.state, rng.random(size)
+        picks = np.minimum((u * n).astype(np.int64), n - 1)
+        at = range(size)  # the block position of each walked double
+        marked = times[picks] < 0
+        marked[1:] |= marked[:-1]
+        if 2 * np.count_nonzero(marked) < size:
+            at = np.flatnonzero(marked)
+            picks, u = picks[at], u[at]
+            at = at.tolist()
+        after = np.append(u[1:], -1.0)  # the next walked double; -1.0 past the block
+        walk = iter(picks.tolist())
+        steps = zip(walk, memoryview(after))
+        last, drawn, dec = len(at) - 1, size, 0
+        for w, r in steps:
+            p = prob[w]
+            if p is None:
+                continue  # an infected node's pick: one double, one step
+            dec += 1
+            if r < 0.0:  # the block is spent: this pick's decision is drawn alone
+                r, drawn = rng.random(1)[0], drawn + 1
+            if r < p + pg:
+                j = at[last - walk.__length_hint__()]
+                now = t + j + 2 - dec
+                prob[w] = None
+                i_count += 1
+                times[w] = now
+                if local:
+                    boundary -= inf_in[w]
+                    for x in flat[indptr[w]:indptr[w + 1]]:
+                        if prob[x] is not None:
+                            inf_in[x] += 1
+                            prob[x] = rows[x][inf_in[x]]
+                            boundary += 1
+                else:
+                    pg = i_count / n
+                if i_count == n or local and boundary == 0:  # done, or absorbed
+                    if j + 2 < drawn:  # hand back the doubles read ahead but not used
+                        bits.state = start
+                        rng.random(j + 2)
+                    return now if i_count == n else max_steps
+            next(steps, None)  # skip the decision: it is no pick
+        t += drawn - dec
     return t if i_count == n else max_steps

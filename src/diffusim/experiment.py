@@ -42,8 +42,8 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import ModelKind, SCHEMES, SYNCHRONOUS
-from .graph import (Graph, GraphSpec, build_graph, check_field_types,
-                    config_key, config_value)
+from .graph import (EdgeListError, Graph, GraphSpec, build_graph,
+                    check_field_types, config_key, config_value)
 from .metrics import evaluate_metric, metric_label
 
 STREAM_RUN = 0
@@ -301,7 +301,9 @@ def run_graph(config: SimConfig, run_index: int) -> Graph:
         rng = derive_graph_rng(config.master_seed, 0 if shared else run_index)
     try:
         return build_graph(spec, rng)
-    except MemoryError:  # the loader itself names an edge list's header line
+    except EdgeListError as exc:  # names the line; this names the file
+        raise ValueError(f"graph.path: {spec.path}: {exc}") from None
+    except MemoryError:
         key, value = ("path", spec.path) if spec.generator == "file" else ("n", spec.n)
         raise ValueError(f"graph.{key}: {value} does not fit in memory") from None
 
@@ -340,16 +342,17 @@ def _run_group_chunk(configs, indices, collect_curves: bool):
 
 
 def worker_count() -> int:
-    """Worker cap from DIFFUSIM_THREADS (0 = one per CPU; unset = 1)."""
+    """Worker cap from DIFFUSIM_THREADS, ASCII digits only (0 = one per CPU;
+    unset = 1)."""
     raw = os.environ.get("DIFFUSIM_THREADS")
     if raw is None or raw == "":
         return 1
     try:
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError
         value = int(raw)
-    except ValueError:
-        raise ValueError("DIFFUSIM_THREADS must be an integer") from None
-    if value < 0:
-        raise ValueError("DIFFUSIM_THREADS must be >= 0")
+    except ValueError:  # int() also refuses more than 4,300 digits
+        raise ValueError("DIFFUSIM_THREADS must be an integer >= 0") from None
     if value == 0:
         return os.cpu_count() or 1
     return value

@@ -183,7 +183,8 @@ class TestExitCodes:
         edges.write_text("1000000000000\n0 1\n", encoding="utf-8")
         for graph, message in [
                 ({"type": "file", "path": str(edges)},
-                 "error: line 1: header node count must be <= 3037000499"),
+                 f"error: graph.path: {edges}: line 1: "
+                 "header node count must be <= 3037000499"),
                 ({"type": "directed_cycle", "n": 10 ** 12},
                  "error: graph.n: must be <= 3037000499")]:
             config = write_config(tmp_path / "c.json", graph=graph)

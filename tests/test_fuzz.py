@@ -196,8 +196,9 @@ class TestFoundInputs:
         assert capsys.readouterr().err == "error: ru\\nns: unknown config key\n"
 
     @pytest.mark.parametrize("graph, message", [
-        ({"type": "file", "path": "big.edges"},
-         "error: line 1: header node count does not fit in memory\n"),
+        ({"type": "file", "path": "huge.edges"},
+         "error: graph.path: huge.edges: line 1: "
+         "header node count does not fit in memory\n"),
         ({"type": "directed_cycle", "n": 2000},
          "error: graph.n: 2000 does not fit in memory\n")])
     def test_graph_beyond_memory(self, cli_env, capsys, monkeypatch, graph, message):
@@ -209,7 +210,7 @@ class TestFoundInputs:
             return zeros(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros", small_memory)
-        (cli_env / "big.edges").write_text("2000\n0 1\n")
+        (cli_env / "huge.edges").write_text("2000\n0 1\n")
         (cli_env / "c.json").write_text(json.dumps(dict(BASE, graph=graph)))
         assert main(["run", "--config", "c.json", "--out", "out"]) == 1
         assert capsys.readouterr().err == message
@@ -333,3 +334,7 @@ class TestFuzz:
                 assert str(exc).startswith("DIFFUSIM_THREADS must be"), value
             else:
                 assert isinstance(workers, int) and workers >= 1, value
+        for value in ["1_0", " 2 ", "+3", "٣"]:  # int() takes them; ASCII digits only
+            monkeypatch.setenv("DIFFUSIM_THREADS", value)
+            with pytest.raises(ValueError, match="DIFFUSIM_THREADS must be an integer"):
+                worker_count()

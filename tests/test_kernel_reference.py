@@ -153,3 +153,85 @@ def test_kernels_match_reference_on_edge_doubles(scheme, model_name):
         assert end == KERNELS[scheme](model, g, theirs, 0, cap, streams[1])
         np.testing.assert_array_equal(mine, theirs)
         assert streams[0].state == streams[1].state
+
+
+ASYNC_REFERENCE = KERNELS[dynamics.ASYNC_SINGLE_NODE]
+
+
+@pytest.mark.parametrize("read_ahead", [1, 2, 5, 4096])
+def test_async_caps_at_block_edges(read_ahead, monkeypatch):
+    """A cap one double inside the first block, at its end and one past it,
+    run from step 0 and resumed one step before the cap."""
+    monkeypatch.setattr(dynamics, "_READ_AHEAD", read_ahead)
+    rng = rng_for(9800 + read_ahead)
+    graphs = [graph.directed_cycle(60), graph.barabasi_albert(40, 2, rng),
+              graph.complete_graph(8)]
+    caps = [cap for cap in (read_ahead - 1, read_ahead, read_ahead + 1) if cap >= 1]
+    for (j, g), (k, model), cap in itertools.product(
+            enumerate(graphs), enumerate(MODELS.values()), caps):
+        times = Trajectory.from_seeds(g.n, [0]).infection_time
+        for t0 in (0, cap - 1):
+            streams = twin_streams(100 * j + 10 * k + t0, cached_half=bool(k % 2))
+            assert_same_run(dynamics._run_async, ASYNC_REFERENCE, model, g,
+                            times, t0, cap, streams)
+
+
+@pytest.mark.parametrize("read_ahead", [1, 2, 5])
+def test_async_late_phase_starts(read_ahead, monkeypatch, tmp_path):
+    """At least 3/4 of the nodes infected at t0, so that blocks whose marked
+    doubles are the minority, walked alone, come from the first block on."""
+    monkeypatch.setattr(dynamics, "_READ_AHEAD", read_ahead)
+    rng = rng_for(9850 + read_ahead)
+    for (j, generator), (k, model), i in itertools.product(
+            enumerate(GENERATORS), enumerate(MODELS.values()), range(2)):
+        g = random_graph(generator, rng, tmp_path)
+        t0 = int(rng.integers(0, 3 * g.n))
+        late = rng.permutation(g.n)[g.n // 4:]
+        times = np.full(g.n, -1, dtype=np.int64)
+        times[late] = rng.integers(0, t0 + 1, size=late.size)
+        cap = t0 + random_cap(g.n, rng)
+        streams = twin_streams(1000 * j + 10 * k + i, cached_half=bool(i))
+        assert_same_run(dynamics._run_async, ASYNC_REFERENCE, model, g, times,
+                        t0, cap, streams)
+
+
+@pytest.mark.parametrize("model_name", MODELS)
+def test_async_pick_as_a_blocks_last_double(model_name, monkeypatch):
+    """Blocks of 3: the two infected picks 0.1 and 0.1 of node 0, then the
+    susceptible pick 0.6 of node 3, whose decision 0.0 follows the block."""
+    monkeypatch.setattr(dynamics, "_READ_AHEAD", 3)
+    model, g = MODELS[model_name], graph.complete_graph(5)
+    times = Trajectory.from_seeds(g.n, [0]).infection_time
+    streams = (ScriptedStream(1), ScriptedStream(1))
+    for stream in streams:
+        stream._doubles = np.array([0.1, 0.1, 0.6, 0.0])
+    mine, theirs = times.copy(), times.copy()
+    cap = 6 * g.n * g.n
+    end = dynamics._run_async(model, g, mine, 0, cap, streams[0])
+    assert end == ASYNC_REFERENCE(model, g, theirs, 0, cap, streams[1])
+    np.testing.assert_array_equal(mine, theirs)
+    assert streams[0].state == streams[1].state
+    if model_name != "fixed0":  # fixed(0) is absorbed before its first draw
+        assert mine[3] == 3
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_step_leaves_the_stream_where_a_one_step_run_does(scheme, tmp_path):
+    rng = rng_for(9950 + SCHEMES.index(scheme))
+    for (j, generator), (k, model) in itertools.product(
+            enumerate(GENERATORS), enumerate(MODELS.values())):
+        g = random_graph(generator, rng, tmp_path)
+        seeds = dynamics.seed_random(g, int(rng.integers(1, min(g.n, 4) + 1)), rng)
+        t0 = int(rng.integers(0, 2 * g.n))
+        traj = Trajectory(n=g.n, infection_time=Trajectory.from_seeds(
+            g.n, seeds.nodes).infection_time, steps_executed=t0)
+        ours, ref = twin_streams(100 * j + k, cached_half=bool(k % 2))
+        times = traj.infection_time.copy()
+        for t in range(t0, t0 + 3):
+            traj = dynamics.step(model, g, traj, scheme, ours)
+            KERNELS[scheme](model, g, times, t, t + 1, ref)
+            assert traj.steps_executed == t + 1
+            np.testing.assert_array_equal(traj.infection_time, times)
+            assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.integers(2**32) == ref.integers(2**32)
+        assert ours.random() == ref.random()
