@@ -39,7 +39,7 @@ from .curvefit import (build_reference_curves, fit_input, fit_series,
 from .experiment import (EnsembleResult, SimConfig, config_from_dict,
                          run_ensemble, run_graph, set_dotted, sweep,
                          worker_count)
-from .graph import save_edge_list
+from .graph import decimal_int, save_edge_list
 from .metrics import metric_label
 
 HEADLINE_FRACTION = 0.01
@@ -231,7 +231,7 @@ def read_series_csv(path: str) -> np.ndarray:
     """Observed series input: header "t,value" or a single "value" column.
 
     The fit assumes unit spacing, so a ``t`` column must hold integers that
-    rise by exactly 1 per row.
+    rise by exactly 1 per row, each ASCII decimal (``[+-]?[0-9]+``).
     """
     reader = csv.reader(Path(path).read_text(encoding="utf-8").splitlines())
     try:
@@ -256,10 +256,7 @@ def read_series_csv(path: str) -> np.ndarray:
             raise ValueError(f"{path}: line {lineno}: expected "
                              f"{len(header)} column(s)")
         if column:
-            try:
-                t = int(row[0])
-            except ValueError:
-                t = None
+            t = decimal_int(row[0].strip())
             if t is None or last_t not in (None, t - 1):
                 raise ValueError(f"{path}: line {lineno}: t must be an integer "
                                  f"rising by 1 per row, got {row[0]!r}")

@@ -134,25 +134,17 @@ def _fit_one(obs: np.ndarray, curve: np.ndarray) -> tuple:
                 sse = _sse(obs, curve, a, b, c)
                 if best is None or sse < best[0]:
                     best = (sse, float(a), float(b), float(c))
-    sse, a, b, c = best
-    step_a, step_b, step_c = a / 2.0, length / 16.0, 0.125
+    sse, *x = best  # x = [a, b, c]
+    steps = [x[0] / 2.0, length / 16.0, 0.125]
     for _ in range(3):
-        for candidate in (a - step_a, a + step_a):
-            if candidate > 1e-9:
-                trial = _sse(obs, curve, candidate, b, c)
-                if trial < sse:
-                    sse, a = trial, candidate
-        for candidate in (b - step_b, b + step_b):
-            trial = _sse(obs, curve, a, candidate, c)
-            if trial < sse:
-                sse, b = trial, candidate
-        for candidate in (c - step_c, c + step_c):
-            if candidate > 1e-9:
-                trial = _sse(obs, curve, a, b, candidate)
-                if trial < sse:
-                    sse, c = trial, candidate
-        step_a, step_b, step_c = step_a / 2.0, step_b / 2.0, step_c / 2.0
-    return sse, a, b, c
+        for i, step in enumerate(steps):  # a, then b, then c
+            for candidate in (x[i] - step, x[i] + step):
+                if i == 1 or candidate > 1e-9:  # a and c stay positive
+                    trial = _sse(obs, curve, *x[:i], candidate, *x[i + 1:])
+                    if trial < sse:
+                        sse, x[i] = trial, candidate
+        steps = [step / 2.0 for step in steps]
+    return (sse, *x)
 
 
 def fit_input(values) -> np.ndarray:

@@ -35,9 +35,10 @@ hands doubles back only when a run ends early, and computes floor(u * n)
 for a whole block at once.  When a block's last double is a susceptible
 node's pick, its decision is drawn alone.  Picks of nodes infected at a
 block's start are skipped unseen: such a double can only be a pick that
-draws no decision.  Both kernels keep each susceptible node's p, refreshed
-when one of its in-neighbors is infected.  None of this changes which
-double is a pick or a decision, or the p a decision is compared with.
+draws no decision.  Both kernels read the fixed and group p from one
+per-degree table, keep it for each susceptible node, and refresh it when
+one of its in-neighbors is infected.  None of this changes which double is
+a pick or a decision, or the p a decision is compared with.
 """
 from __future__ import annotations
 
@@ -120,11 +121,18 @@ def seed_random(g: Graph, count: int, rng: np.random.Generator) -> SeedSet:
     return SeedSet(tuple(pool[:count]))
 
 
-def _fixed_prob_table(transmission_prob: float, max_degree: int) -> list:
-    """p(d) = 1 - (1-q)^d for d = 0..max_degree, built with scalar arithmetic
-    so every code path sees bit-identical values."""
-    q = 1.0 - transmission_prob
-    return [1.0 - q ** d for d in range(max_degree + 1)]
+def _rule_table(model: ModelKind, in_deg: np.ndarray) -> tuple:
+    """The fixed or group rule as one flat table: a susceptible node u with d
+    infected in-neighbors has p = table[row[u] + d].  Fixed has one row, for
+    d = 0..max in-degree; group one per distinct in-degree.  Entries come
+    from scalar arithmetic, so both kernels see bit-identical values."""
+    if model.kind == "fixed":
+        q = model.transmission_prob
+        table = [1.0 - (1 - q) ** d for d in range(in_deg.max() + 1)]
+        return np.array(table), np.zeros_like(in_deg)
+    degs, which = np.unique(in_deg, return_inverse=True)
+    table = [d / deg if deg else 0.0 for deg in degs.tolist() for d in range(deg + 1)]
+    return np.array(table), (np.cumsum(degs + 1) - degs - 1)[which]
 
 
 def _infected_in_counts(g: Graph, infected: np.ndarray) -> np.ndarray:
@@ -184,16 +192,10 @@ def _run_synchronous(model, g, times, t, max_steps, rng):
     susceptible = np.flatnonzero(times < 0)  # ascending node ids
     i_count = n - susceptible.size
     if kind != "global":
-        inf_in = _infected_in_counts(g, times >= 0)
-        in_deg, indptr, indices = g.in_degrees, g._out_indptr, g._arc_dst
-        out_deg = g.out_degrees
-        if kind == "fixed":
-            table = np.asarray(_fixed_prob_table(model.transmission_prob,
-                                                 int(in_deg.max())))
-            prob = table[inf_in]
-        else:
-            prob = np.zeros(n)
-            np.divide(inf_in, in_deg, out=prob, where=in_deg > 0)
+        indptr, indices, out_deg = g._out_indptr, g._arc_dst, g.out_degrees
+        table, slot = _rule_table(model, g.in_degrees)
+        slot += _infected_in_counts(g, times >= 0)  # u's p is table[slot[u]]
+        prob = table[slot]
 
     while i_count < n and t < max_steps:
         if kind == "global":
@@ -215,9 +217,8 @@ def _run_synchronous(model, g, times, t, max_steps, rng):
                 arcs = np.repeat(indptr[new] - counts.cumsum() + counts, counts)
                 arcs += np.arange(arcs.size)
                 touched = indices[arcs]
-                np.add.at(inf_in, touched, 1)
-                d = inf_in[touched]
-                prob[touched] = table[d] if kind == "fixed" else d / in_deg[touched]
+                np.add.at(slot, touched, 1)
+                prob[touched] = table[slot[touched]]
     return t if i_count == n else max_steps
 
 
@@ -235,19 +236,13 @@ def _run_async(model, g, times, t, max_steps, rng):
     if local:
         inf_in = _infected_in_counts(g, infected)
         boundary = int(inf_in[~infected].sum())  # infected -> susceptible arcs
-        in_deg = g.in_degrees.tolist()
-        # rows[u][d]: u's probability with d infected in-neighbors
-        if model.kind == "group":
-            by_deg = {deg: [d / max(deg, 1) for d in range(deg + 1)]
-                      for deg in set(in_deg)}
-            rows = [by_deg[deg] for deg in in_deg]
-        else:
-            rows = [_fixed_prob_table(model.transmission_prob, max(in_deg))] * n
-        inf_in = inf_in.tolist()
-        prob = [row[d] for row, d in zip(rows, inf_in)]
+        table, row = _rule_table(model, g.in_degrees)
+        slot = (row + inf_in).tolist()  # u's p is table[slot[u]]
+        table, row = table.tolist(), row.tolist()
+        prob = [table[s] for s in slot]  # a few shared floats, not n new ones
         indptr, flat = g._out_indptr.tolist(), g._arc_dst.tolist()
         # absorbed before the first draw; fixed(q) has p(1) = 0 iff every p is 0
-        if boundary == 0 or model.kind == "fixed" and rows[0][1] == 0.0:
+        if boundary == 0 or model.kind == "fixed" and table[1] == 0.0:
             limit = t
     for u in np.flatnonzero(infected).tolist():
         prob[u] = None
@@ -287,11 +282,11 @@ def _run_async(model, g, times, t, max_steps, rng):
                 i_count += 1
                 times[w] = now
                 if local:
-                    boundary -= inf_in[w]
+                    boundary -= slot[w] - row[w]  # w's infected in-neighbors
                     for x in flat[indptr[w]:indptr[w + 1]]:
                         if prob[x] is not None:
-                            inf_in[x] += 1
-                            prob[x] = rows[x][inf_in[x]]
+                            slot[x] += 1
+                            prob[x] = table[slot[x]]
                             boundary += 1
                 else:
                     pg = i_count / n

@@ -7,8 +7,8 @@ random generators take an explicit ``numpy.random.Generator``; the same
 stream always yields the identical arc set.
 
 Edge-list text format: first line is the node count n, every following
-non-empty line is one arc ``"v u"`` (v -> u, decimal, space separated),
-UTF-8 with LF line endings.
+non-empty line is one arc ``"v u"`` (v -> u, space separated), UTF-8 with
+LF line endings.  Every integer is ASCII decimal, ``[+-]?[0-9]+``.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import hashlib
 import inspect
 import io
 import numbers
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -65,12 +66,11 @@ class Graph:
     ``v*n + u``: input whose codes already strictly increase, such as a
     file ``save_edge_list`` wrote, is neither sorted nor scanned for
     duplicates; other input is sorted once, stably.  The sorted arcs are
-    the out-adjacency CSR; there is no in-adjacency, so ``in_neighbors``
-    scans all arcs into a new array, O(m).  Neighbour lists are ascending.
+    the out-adjacency CSR; there is no in-adjacency.  Neighbour lists are
+    ascending.
     """
 
-    __slots__ = ("n", "arc_count", "_arc_src", "_arc_dst", "_out_indptr",
-                 "_in_degrees", "_fingerprint")
+    __slots__ = ("n", "arc_count", "_arc_src", "_arc_dst", "_out_indptr", "_in_degrees")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray):
         n = config_value("node count", "int", n)
@@ -116,7 +116,6 @@ class Graph:
         self._out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self._out_indptr[1:])
         self._in_degrees = np.bincount(dst, minlength=n)
-        self._fingerprint = None
         for a in (src, dst, self._out_indptr, self._in_degrees):
             a.setflags(write=False)
 
@@ -133,10 +132,6 @@ class Graph:
             raise ValueError(f"node id {u} out of range [0, {self.n})")
         return u
 
-    def in_neighbors(self, u: int) -> np.ndarray:
-        """Nodes v with an arc v -> u, ascending (a new array, O(m))."""
-        return self._arc_src[self._arc_dst == self._check_node(u)]
-
     def out_neighbors(self, u: int) -> np.ndarray:
         """Nodes w with an arc u -> w, ascending (read-only view)."""
         u = self._check_node(u)
@@ -151,15 +146,13 @@ class Graph:
         return np.diff(self._out_indptr)
 
     def fingerprint(self) -> str:
-        """Stable 16-hex-digit digest of (n, arc set); computed once."""
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(str(self.n).encode())
-            h.update(b"\n")
-            h.update(self._arc_src.tobytes())
-            h.update(self._arc_dst.tobytes())
-            self._fingerprint = h.hexdigest()[:16]
-        return self._fingerprint
+        """Stable 16-hex-digit digest of (n, arc set)."""
+        h = hashlib.sha256()
+        h.update(str(self.n).encode())
+        h.update(b"\n")
+        h.update(self._arc_src.tobytes())
+        h.update(self._arc_dst.tobytes())
+        return h.hexdigest()[:16]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -369,10 +362,7 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
 def complete_graph(n: int) -> Graph:
     """All n*(n-1) ordered arcs; n >= 2."""
     GraphSpec("complete", n=n)  # checks the arguments
-    idx = np.arange(n)
-    src = np.repeat(idx, n - 1)
-    dst = np.concatenate([np.delete(idx, i) for i in range(n)])
-    return Graph(n, np.stack([src, dst], axis=1))
+    return Graph(n, np.argwhere(~np.eye(n, dtype=bool)))
 
 
 def directed_cycle(n: int) -> Graph:
@@ -444,6 +434,14 @@ def _plain_arcs(text: str) -> tuple[int, np.ndarray] | None:
     return (n, arcs) if arcs.shape[1] == 2 else None
 
 
+def decimal_int(text: str) -> int | None:
+    """``text`` as an integer if it is ASCII decimal, ``[+-]?[0-9]+``, else None."""
+    try:
+        return int(text) if re.fullmatch("[+-]?[0-9]+", text) else None
+    except ValueError:  # int() refuses more than 4,300 digits
+        return None
+
+
 def _load_lines(text: str) -> Graph:
     """The edge list parsed line by line; errors name their file line."""
     # (file line, stripped text) for each non-blank line
@@ -452,10 +450,9 @@ def _load_lines(text: str) -> Graph:
     if not rows:
         raise EdgeListError("empty input: missing node-count header")
     lineno, header = rows[0]
-    try:
-        n = int(header)
-    except ValueError:
-        raise EdgeListError(f"header is not an integer: {header!r}", lineno) from None
+    n = decimal_int(header)
+    if n is None:
+        raise EdgeListError(f"header is not an integer: {header!r}", lineno)
     if n < 1:
         raise EdgeListError("header node count must be >= 1", lineno)
     if n > MAX_NODES:
@@ -466,10 +463,10 @@ def _load_lines(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListError(f"expected 'v u', got {line!r}", lineno)
-        try:
-            arcs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise EdgeListError(f"non-integer endpoint in {line!r}", lineno) from None
+        ids = [decimal_int(part) for part in parts]
+        if None in ids:
+            raise EdgeListError(f"non-integer endpoint in {line!r}", lineno)
+        arcs.append(tuple(ids))
     try:  # an int64 array skips Graph's per-id check; ids beyond int64 take it
         arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
     except OverflowError:

@@ -38,7 +38,8 @@ def infection_probability(model: ModelKind, g: Graph, traj: Trajectory,
         raise ValueError(f"node {u} is already infected")
     if model.kind == "global":
         return int(np.count_nonzero(infected)) / g.n
-    neigh = g.in_neighbors(u)
+    arcs = g.arcs
+    neigh = arcs[arcs[:, 1] == u, 0]
     d = int(np.count_nonzero(infected[neigh]))
     if model.kind == "group":
         return d / neigh.size if neigh.size else 0.0

@@ -326,6 +326,11 @@ class TestSeriesInput:
         path.write_text("t,value\n0,1.0\n1,2.0\n2,4.0\n", encoding="utf-8")
         assert np.array_equal(read_series_csv(path), [1.0, 2.0, 4.0])
 
+    def test_t_column_takes_signed_ascii_decimals_around_spaces(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n -1 ,1.0\n+0,2.0\n 01,4.0\n", encoding="utf-8")
+        assert np.array_equal(read_series_csv(path), [1.0, 2.0, 4.0])
+
     def test_single_column_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("value\n5\n6\n", encoding="utf-8")
@@ -358,6 +363,9 @@ class TestSeriesInput:
         (("3", "3", "4"), 3, "'3'"),  # repeated
         (("5", "1", "2"), 3, "'1'"),  # decreasing
         (("1.0", "2", "3"), 2, "'1.0'"),  # a float, even a whole one
+        (("9", "1_0", "11"), 3, "'1_0'"),  # int() reads "1_0" as 10
+        (("\u0660", "1", "2"), 2, "'\u0660'"),  # a non-ASCII digit
+        (("0", "+-1", "2"), 3, "'+-1'"),
     ])
     def test_fit_rejects_irregular_t_column(self, tmp_path, capsys, t_column,
                                             line, bad):

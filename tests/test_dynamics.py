@@ -11,7 +11,8 @@ from diffusim import dynamics
 from diffusim.dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, ModelKind,
                                SCHEMES, SYNCHRONOUS, SeedSet, fixed, run,
                                seed_random, step)
-from diffusim.graph import Graph, complete_graph, directed_cycle, watts_strogatz
+from diffusim.graph import (Graph, GraphSpec, build_graph, complete_graph,
+                            directed_cycle, watts_strogatz)
 from diffusim.metrics import Trajectory
 from kernel_reference import infection_probability
 
@@ -174,6 +175,39 @@ class TestInfectionProbability:
                 if s.infection_time[u] < 0:
                     p = infection_probability(model, g, s, u)
                     assert 0.0 <= p <= 1.0
+
+
+def graphs_of_every_generator(tmp_path) -> list:
+    """One small graph per generator, and two edge-list files whose graphs
+    have nodes of in-degree 0 (in the second, every node)."""
+    (tmp_path / "a.edges").write_text("7\n0 1\n0 2\n1 2\n3 2\n2 4\n5 4\n",
+                                      encoding="utf-8")
+    (tmp_path / "b.edges").write_text("4\n", encoding="utf-8")
+    specs = [GraphSpec("watts_strogatz", n=30, k=4, beta=0.3),
+             GraphSpec("barabasi_albert", n=40, m_attach=3),
+             GraphSpec("complete", n=9), GraphSpec("directed_cycle", n=6),
+             GraphSpec("file", path=str(tmp_path / "a.edges")),
+             GraphSpec("file", path=str(tmp_path / "b.edges"))]
+    return [build_graph(spec, rng_for(40 + i)) for i, spec in enumerate(specs)]
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("model", [fixed(0.0), fixed(1e-17), fixed(0.05),
+                                       fixed(0.3), fixed(1.0), GROUP],
+                             ids=["q0", "q1e-17", "q0.05", "q0.3", "q1", "group"])
+    def test_every_entry_is_the_reference_probability(self, tmp_path, model):
+        # table[row[u] + d] for every d up to u's in-degree, most of which
+        # runs seldom reach, is the p that kernel_reference writes out
+        for g in graphs_of_every_generator(tmp_path):
+            table, row = dynamics._rule_table(model, g.in_degrees)
+            arcs = g.arcs
+            for u in range(g.n):
+                neigh = arcs[arcs[:, 1] == u, 0]
+                for d in range(neigh.size + 1):
+                    times = np.full(g.n, -1)
+                    times[neigh[:d]] = 0
+                    expected = infection_probability(model, g, Trajectory(g.n, times, 0), u)
+                    assert table[row[u] + d] == expected, (g, u, d)
 
 
 class TestStep:
