@@ -36,14 +36,11 @@ import numpy as np
 from . import __version__
 from .curvefit import (build_reference_curves, fit_input, fit_series,
                        load_reference_config, normalize_series)
-from .experiment import (EnsembleResult, SimConfig, config_from_dict,
-                         run_ensemble, run_graph, set_dotted, sweep,
-                         worker_count)
+from .experiment import (DEFAULT_METRICS, EnsembleResult, SimConfig,
+                         config_from_dict, run_ensemble, run_graph, set_dotted,
+                         sweep, sweep_axes, worker_count)
 from .graph import decimal_int, save_edge_list
 from .metrics import metric_label
-
-HEADLINE_FRACTION = 0.01
-HEADLINE_SPREAD = (0.01, 0.99)
 
 RUNS_COLUMNS = ["run_index", "model", "scheme", "n", "k", "beta",
                 "seed_count", "master_seed", "t_to_pct1", "t_1_to_99",
@@ -106,19 +103,31 @@ def write_csv(path, header, rows) -> None:
 # -- config loading ------------------------------------------------------------
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` that rejects an object repeating a key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _parse_override(text: str) -> tuple:
     if "=" not in text:
         raise ValueError(f"override {text!r} is not of the form key=value")
     key, _, raw = text.partition("=")
     key = key.strip()
-    if not key:
-        raise ValueError(f"override {text!r} has an empty key")
+    if "" in key.split("."):
+        raise ValueError(f"override {text!r} has an empty key segment")
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         value = raw
     except RecursionError:
         raise ValueError(f"override {key!r}: value nests too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"override {key!r}: {exc}") from None
     return key, value
 
 
@@ -126,16 +135,17 @@ def load_config_document(path: str, overrides) -> dict:
     """Read a JSON config and apply dotted overrides in flag order."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nests too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     for item in overrides or []:
-        key, value = _parse_override(item)
-        set_dotted(doc, key, value)
+        set_dotted(doc, *_parse_override(item))
     return doc
 
 
@@ -144,13 +154,10 @@ def parse_config(path: str, overrides=None) -> SimConfig:
 
 
 def _with_headline_metrics(config: SimConfig) -> SimConfig:
-    """Ensure the two runs.csv metrics are computed whatever the config says."""
+    """Add the DEFAULT_METRICS, which runs.csv reports, if the config lacks any."""
     labels = {metric_label(m) for m in config.metrics}
-    extra = [m for m in (HEADLINE_FRACTION, HEADLINE_SPREAD)
-             if metric_label(m) not in labels]
-    if not extra:
-        return config
-    return replace(config, metrics=config.metrics + tuple(extra))
+    extra = tuple(m for m in DEFAULT_METRICS if metric_label(m) not in labels)
+    return replace(config, metrics=config.metrics + extra)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -163,8 +170,7 @@ def _prepare_outdir(outdir: str) -> Path:
 
 
 def _runs_rows(config: SimConfig, result: EnsembleResult):
-    lab_t = metric_label(HEADLINE_FRACTION)
-    lab_s = metric_label(HEADLINE_SPREAD)
+    lab_t, lab_s = map(metric_label, DEFAULT_METRICS)
     g = config.graph
     for rec in result.records:
         t1 = rec.metric(lab_t)
@@ -195,21 +201,19 @@ def cmd_sweep(args) -> int:
     for key in doc:
         if key not in ("base", "axes"):
             raise ValueError(f"{key}: unknown sweep config key")
-    if "base" not in doc or "axes" not in doc:
-        raise ValueError("sweep config needs 'base' and 'axes'")
-    if not isinstance(doc["axes"], dict):
-        raise ValueError("axes: expected an object of key -> values")
-    axes = list(doc["axes"].items())
-    for key, values in axes:
-        if not isinstance(values, list):
-            raise ValueError(f"axes.{key}: expected a list")
+    for key in ("base", "axes"):
+        if key not in doc:
+            raise ValueError(f"{key}: required config key is missing")
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"{key}: expected an object")
+    axes = sweep_axes(doc["axes"].items())
     try:
         base = config_from_dict(doc["base"])
     except ValueError as exc:
         raise ValueError(f"base.{exc}") from None
 
-    cells = sweep(base, axes, workers=worker_count())  # rejects empty axes first
-    outdir = _prepare_outdir(args.out)
+    outdir = _prepare_outdir(args.out)  # before any cell runs
+    cells = sweep(base, axes, workers=worker_count())
     keys = [key for key, _ in axes]
     rows = []
     error_rows = []
@@ -232,47 +236,45 @@ def read_series_csv(path: str) -> np.ndarray:
 
     The fit assumes unit spacing, so a ``t`` column must hold integers that
     rise by exactly 1 per row, each ASCII decimal (``[+-]?[0-9]+``).
+    Errors name the line; ``fit`` names the file.
     """
     reader = csv.reader(Path(path).read_text(encoding="utf-8").splitlines())
     try:
         rows = [(reader.line_num, row) for row in reader
                 if any(col.strip() for col in row)]
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not rows:
-        raise ValueError(f"{path}: empty series file")
+        raise ValueError("empty series file")
     header = [col.strip().lower() for col in rows[0][1]]
-    if header == ["t", "value"]:
-        column = 1
-    elif header == ["value"]:
-        column = 0
-    else:
-        raise ValueError(f"{path}: header must be 't,value' or 'value', "
-                         f"got {rows[0][1]!r}")
+    column = {("t", "value"): 1, ("value",): 0}.get(tuple(header))
+    if column is None:
+        raise ValueError(f"header must be 't,value' or 'value', got {rows[0][1]!r}")
     values = []
     last_t = None
     for lineno, row in rows[1:]:
         if len(row) != len(header):
-            raise ValueError(f"{path}: line {lineno}: expected "
-                             f"{len(header)} column(s)")
+            raise ValueError(f"line {lineno}: expected {len(header)} column(s)")
         if column:
             t = decimal_int(row[0].strip())
             if t is None or last_t not in (None, t - 1):
-                raise ValueError(f"{path}: line {lineno}: t must be an integer "
-                                 f"rising by 1 per row, got {row[0]!r}")
+                raise ValueError(f"line {lineno}: t must be an integer rising "
+                                 f"by 1 per row, got {row[0]!r}")
             last_t = t
         try:
             values.append(float(row[column]))
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: not a number: "
-                             f"{row[column]!r}") from None
+            raise ValueError(f"line {lineno}: not a number: {row[column]!r}") from None
     if not values:
-        raise ValueError(f"{path}: series has a header but no rows")
+        raise ValueError("series has a header but no rows")
     return np.asarray(values)
 
 
 def cmd_fit(args) -> int:
-    obs = normalize_series(fit_input(read_series_csv(args.series)))
+    try:  # the series file is named here, whichever check rejects it
+        obs = normalize_series(fit_input(read_series_csv(args.series)))
+    except ValueError as exc:
+        raise ValueError(f"{args.series}: {exc}") from None
     if args.config is not None:
         reference = parse_config(args.config, args.set)
     else:
@@ -333,33 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="JSON config path")
+    for name, func, text in [
+            ("gen-graph", cmd_gen_graph, "write the configured graph as an edge list"),
+            ("run", cmd_run, "run one ensemble; write runs.csv and summary.csv"),
+            ("sweep", cmd_sweep, "run a config grid; write sweep_summary.csv"),
+            ("fit", cmd_fit, "classify an observed series; write fit.csv"),
+            ("report", cmd_report, "write the per-step mean adoption curve")]:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", required=name != "fit", help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path config override, applied in flag order")
-
-    p = sub.add_parser("gen-graph", help="write the configured graph as an edge list")
-    common(p)
-    p.set_defaults(func=cmd_gen_graph)
-
-    p = sub.add_parser("run", help="run one ensemble; write runs.csv and summary.csv")
-    common(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep", help="run a config grid; write sweep_summary.csv")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("fit", help="classify an observed series; write fit.csv")
-    common(p, config_required=False)
-    p.add_argument("--series", required=True, help="observed series CSV path")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("report", help="write the per-step mean adoption curve")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    sub.choices["fit"].add_argument("--series", required=True,
+                                    help="observed series CSV path")
     return parser
 
 

@@ -68,15 +68,15 @@ class ModelKind:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"model: unknown model kind {self.kind!r}")
         check_field_types(self)
         if self.kind == "fixed":
             if self.transmission_prob is None:
-                raise ValueError("fixed model requires transmission_prob")
+                raise ValueError("transmission_prob: required by model 'fixed'")
             if not 0.0 <= self.transmission_prob <= 1.0:
-                raise ValueError("transmission_prob must be within [0, 1]")
+                raise ValueError("transmission_prob: must be within [0, 1]")
         elif self.transmission_prob is not None:
-            raise ValueError(f"{self.kind} model takes no transmission_prob")
+            raise ValueError(f"transmission_prob: not applicable to model {self.kind!r}")
 
 
 GROUP = ModelKind("group")

@@ -43,7 +43,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import ModelKind, SCHEMES, SYNCHRONOUS
 from .graph import (EdgeListError, Graph, GraphSpec, build_graph,
-                    check_field_types, config_key, config_value)
+                    check_field_types, config_key, config_value, decimal_int)
 from .metrics import evaluate_metric, metric_label
 
 STREAM_RUN = 0
@@ -92,8 +92,8 @@ class SimConfig:
             raise ValueError(f"scheme: unknown value {self.scheme!r}")
         if self.seed_count < 1:
             raise ValueError("seed_count: must be >= 1")
-        if self.graph.n is not None and self.seed_count > self.graph.n:
-            raise ValueError("seed_count: must not exceed graph n")
+        if self.graph.n is not None:
+            self.check_graph_n(self.graph.n)
         if self.runs < 1:
             raise ValueError("runs: must be >= 1")
         if self.max_steps is not None and self.max_steps < 1:
@@ -126,6 +126,11 @@ class SimConfig:
             seen[label] = target
         object.__setattr__(self, "metrics", tuple(norm))
 
+    def check_graph_n(self, n: int) -> None:
+        """The rule on n, which a ``file`` graph has once it is loaded."""
+        if self.seed_count > n:
+            raise ValueError(f"seed_count: must not exceed graph n ({n})")
+
     def effective_max_steps(self, n: int) -> int:
         if self.max_steps is not None:
             return self.max_steps
@@ -137,23 +142,21 @@ def _items(obj) -> list:
     return [(config_key(f), getattr(obj, f.name)) for f in fields(obj)]
 
 
-def _arguments(cls, doc: dict, prefix: str = "") -> dict:
-    """Keyword arguments for dataclass ``cls`` from the keys of ``doc`` it
-    declares; a key whose field has no default must be present."""
-    args = {}
-    for f in fields(cls):
-        if config_key(f) in doc:
-            args[f.name] = doc[config_key(f)]
-        elif f.default is MISSING:
-            raise ValueError(f"{prefix}{config_key(f)}: required config key is missing")
-    return args
-
-
-def _reject_unknown(doc: dict, classes, prefix: str = "") -> None:
-    known = {config_key(f) for cls in classes for f in fields(cls)}
+def _arguments(doc, classes, prefix: str) -> list:
+    """Per dataclass of ``classes``, its keyword arguments from the document
+    object ``doc`` at dotted ``prefix`` (``model`` goes to two).  Rejects a
+    non-object, an unknown key, then a missing one whose field has no default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{prefix[:-1] or 'config'}: expected an object")
+    schema = {config_key(f): f for cls in classes for f in fields(cls)}
     for key in doc:
-        if key not in known:
+        if key not in schema:
             raise ValueError(f"{prefix}{key}: unknown config key")
+    for key, f in schema.items():
+        if key not in doc and f.default is MISSING:
+            raise ValueError(f"{prefix}{key}: required config key is missing")
+    return [{f.name: doc[config_key(f)] for f in fields(cls) if config_key(f) in doc}
+            for cls in classes]
 
 
 def config_from_dict(doc: dict) -> SimConfig:
@@ -165,20 +168,9 @@ def config_from_dict(doc: dict) -> SimConfig:
     generator).  Omitted keys take the field defaults.  Raises ValueError
     naming the offending dotted key.
     """
-    if not isinstance(doc, dict):
-        raise ValueError("config: expected a JSON object")
-    _reject_unknown(doc, (SimConfig, ModelKind))
-    args = _arguments(SimConfig, doc)
-    model_args = _arguments(ModelKind, doc)
-    try:
-        args["model"] = ModelKind(**model_args)
-    except ValueError as exc:
-        raise ValueError(f"model: {exc}") from None
-    gdoc = args["graph"]
-    if not isinstance(gdoc, dict):
-        raise ValueError("graph: expected an object")
-    _reject_unknown(gdoc, (GraphSpec,), "graph.")
-    graph_args = _arguments(GraphSpec, gdoc, "graph.")
+    args, model_args = _arguments(doc, (SimConfig, ModelKind), "")
+    args["model"] = ModelKind(**model_args)
+    [graph_args] = _arguments(args["graph"], (GraphSpec,), "graph.")
     try:
         args["graph"] = GraphSpec(**graph_args)
     except ValueError as exc:
@@ -276,6 +268,7 @@ class EnsembleResult:
 
 def _execute_run(config: SimConfig, g: Graph, run_index: int,
                  collect_curves: bool):
+    config.check_graph_n(g.n)
     rng = derive_run_rng(config.master_seed, run_index)
     seeds = dynamics.seed_random(g, config.seed_count, rng)
     traj = dynamics.run(config.model, g, seeds, config.scheme,
@@ -344,18 +337,11 @@ def _run_group_chunk(configs, indices, collect_curves: bool):
 def worker_count() -> int:
     """Worker cap from DIFFUSIM_THREADS, ASCII digits only (0 = one per CPU;
     unset = 1)."""
-    raw = os.environ.get("DIFFUSIM_THREADS")
-    if raw is None or raw == "":
-        return 1
-    try:
-        if not (raw.isascii() and raw.isdigit()):
-            raise ValueError
-        value = int(raw)
-    except ValueError:  # int() also refuses more than 4,300 digits
-        raise ValueError("DIFFUSIM_THREADS must be an integer >= 0") from None
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+    raw = os.environ.get("DIFFUSIM_THREADS") or "1"
+    value = decimal_int(raw) if raw[0].isdigit() else None  # no sign
+    if value is None:
+        raise ValueError("DIFFUSIM_THREADS must be an integer >= 0")
+    return value or os.cpu_count() or 1
 
 
 def run_ensemble(config: SimConfig, workers: int = 1,
@@ -497,28 +483,37 @@ class SweepCell:
     error: str | None = None
 
 
+def sweep_axes(axes) -> list:
+    """``axes``, (dotted key, values) pairs, as a list once checked: at
+    least one axis, and each axis's values a non-empty list."""
+    axes = list(axes)
+    if not axes:
+        raise ValueError("axes: needs at least one axis")
+    for key, values in axes:
+        if not isinstance(values, list):
+            raise ValueError(f"axes.{key}: expected a list")
+        if not values:
+            raise ValueError(f"axes.{key}: empty sweep range")
+    return axes
+
+
 def sweep(base: SimConfig, axes, workers: int = 1) -> list:
     """Run one ensemble per cell of the cross-product grid.
 
-    ``axes`` is a sequence of (dotted_key, values) pairs; cells are listed
-    in lexicographic order over the declared axis order.  A failing cell is
-    recorded with its error message and the sweep continues.  Cells that
-    share a dynamics key share one ensemble, and cells that share a graph
-    key run together, each run's graph built once for all of them, in one
-    process pool; every cell's result is the one ``run_ensemble`` gives
-    for it alone.
+    ``axes`` is a sequence of (dotted_key, values) pairs (see sweep_axes);
+    cells are listed in lexicographic order over the declared axis order.
+    A failing cell is recorded with its error message and the sweep
+    continues.  Cells that share a dynamics key share one ensemble, and
+    cells that share a graph key run together, each run's graph built once
+    for all of them, in one process pool; every cell's result is the one
+    ``run_ensemble`` gives for it alone.
     """
-    axes = list(axes)
-    if not axes:
-        raise ValueError("sweep needs at least one axis")
-    for key, values in axes:
-        if not list(values):
-            raise ValueError(f"{key}: empty sweep range")
+    axes = sweep_axes(axes)
     base_doc = config_to_dict(base)
     keys = [key for key, _ in axes]
     configs = []
     grid = []  # per cell: assignments, then its config's position or its error
-    for combo in itertools.product(*[list(values) for _, values in axes]):
+    for combo in itertools.product(*[values for _, values in axes]):
         doc = copy.deepcopy(base_doc)
         for key, value in zip(keys, combo):
             set_dotted(doc, key, value)

@@ -13,7 +13,8 @@ import pytest
 from diffusim import cli
 from diffusim.cli import main, parse_config, read_series_csv
 from diffusim.experiment import derive_graph_rng, run_ensemble, set_dotted
-from diffusim.graph import build_graph, load_edge_list
+from diffusim.graph import (build_graph, directed_cycle, load_edge_list,
+                            save_edge_list)
 
 
 def write_config(path, **overrides):
@@ -207,6 +208,93 @@ class TestExitCodes:
         assert capsys.readouterr().out.strip()
 
 
+class TestRejectionsNameTheirKey:
+    """Each config rule is stated once, by the type or reader that owns its
+    key, so the CLI prints exactly one line naming that key."""
+
+    FIXED = {"model": "fixed", "transmission_prob": 0.5}
+
+    @staticmethod
+    def run_main(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("config, overrides, message", [
+        (FIXED, ['transmission_prob="x"'],
+         "transmission_prob: expected a number, got 'x'"),
+        (FIXED, ["transmission_prob=2"], "transmission_prob: must be within [0, 1]"),
+        (FIXED, ["model=group"], "transmission_prob: not applicable to model 'group'"),
+        ({"model": "fixed"}, [], "transmission_prob: required by model 'fixed'"),
+        ({}, ["model=viral"], "model: unknown model kind 'viral'"),
+        ({}, ["seed_count=5", 'graph={"type": "cycle", "n": 3}'],
+         "seed_count: must not exceed graph n (3)"),
+        ({}, ["seed_count=5", 'graph={"type": "file", "path": "three.edges"}'],
+         "seed_count: must not exceed graph n (3)"),
+        ({"runs": 2}, ['graph={"type": "cycle", "n": 3, "n": 4}'],
+         "override 'graph': duplicate key 'n'"),
+        ({}, [".x=1"], "override '.x=1' has an empty key segment"),
+        ({}, ["graph..n=1"], "override 'graph..n=1' has an empty key segment"),
+        ({}, ["graph.=1"], "override 'graph.=1' has an empty key segment"),
+    ])
+    def test_run_config(self, tmp_path, monkeypatch, capsys, config, overrides,
+                        message):
+        monkeypatch.chdir(tmp_path)
+        save_edge_list(directed_cycle(3), tmp_path / "three.edges")
+        write_config(tmp_path / "c.json", **config)
+        argv = ["run", "--config", "c.json", "--out", "out"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert self.run_main(capsys, argv) == (1, f"error: {message}\n")
+        assert not (tmp_path / "out" / "runs.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"model": "group", "runs": 1, "runs": 3}', "c.json: duplicate key 'runs'"),
+        ('{"graph": {"type": "cycle", "n": 3, "n": 4}}', "c.json: duplicate key 'n'"),
+        ("[1, 2]", "c.json: top level must be a JSON object"),
+    ])
+    def test_config_document(self, tmp_path, monkeypatch, capsys, text, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(text, encoding="utf-8")
+        argv = ["run", "--config", "c.json", "--out", "out"]
+        assert self.run_main(capsys, argv) == (1, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"base": 5, "axes": {"runs": [1]}}', "base: expected an object"),
+        ('{"base": {}, "axes": {}}', "axes: needs at least one axis"),
+        ('{"base": {}, "axes": {"runs": []}}', "axes.runs: empty sweep range"),
+        ('{"base": {}, "axes": {"runs": 5}}', "axes.runs: expected a list"),
+        ('{"base": {}, "axes": []}', "axes: expected an object"),
+        ('{"axes": {"runs": [1]}}', "base: required config key is missing"),
+        ('{"base": {}, "axes": {"runs": [1], "runs": [3]}}',
+         "s.json: duplicate key 'runs'"),
+        ('{"base": {"model": "group", "master_seed": 1, "graph": {"type": "cycle",'
+         ' "n": 3}, "transmission_prob": 0.5}, "axes": {"runs": [1]}}',
+         "base.transmission_prob: not applicable to model 'group'"),
+    ])
+    def test_sweep_document(self, tmp_path, monkeypatch, capsys, text, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(text, encoding="utf-8")
+        argv = ["sweep", "--config", "s.json", "--out", "out"]
+        assert self.run_main(capsys, argv) == (1, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_errors_name_seed_count(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_edge_list(directed_cycle(3), tmp_path / "three.edges")
+        base = json.loads(write_config(tmp_path / "c.json").read_text())
+        doc = {"base": base, "axes": {"graph": [{"type": "cycle", "n": 3},
+                                                {"type": "file", "path": "three.edges"}],
+                                      "seed_count": [1, 5]}}
+        (tmp_path / "s.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sweep", "--config", "s.json", "--out", "out"]) == 0
+        errors = read_rows(tmp_path / "out" / "sweep_errors.csv")
+        assert [row[1:] for row in errors[1:]] == [
+            ["5", "seed_count: must not exceed graph n (3)"]] * 2
+
+
 class TestGenGraph:
     def test_edge_list_round_trips(self, tmp_path):
         config = write_config(tmp_path / "c.json")
@@ -310,6 +398,20 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(bad), "--out",
                      str(tmp_path / "o4")]) == 1
         assert not any((tmp_path / f"o{i}").exists() for i in range(1, 5))
+
+    def test_out_through_a_file_fails_before_any_cell_runs(self, tmp_path,
+                                                           monkeypatch, capsys):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a sweep cell ran before --out was created")
+
+        monkeypatch.setattr(cli, "sweep", no_cells)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["sweep", "--config", str(self.write_sweep(tmp_path)),
+                     "--out", str(blocker)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert blocker.read_text(encoding="utf-8") == ""
 
     def test_set_overrides_reach_base(self, tmp_path):
         path = self.write_sweep(tmp_path, axes={"model": ["group"]})
@@ -434,6 +536,42 @@ class TestFitCommand:
         assert "at least 8 points" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("values, message", [
+        ("1 2 3 -4 5 6 7 8", "series must be non-negative"),
+        ("0 0 0 0 0 0 0 0", "series is all zero"),
+        ("1 2 3 nan 5 6 7 8", "fit needs finite values"),
+        ("1 2 3 inf 5 6 7 8", "fit needs finite values"),
+        ("1 2 3", "fit needs a 1-D series of at least 8 points"),
+    ])
+    def test_series_value_errors_name_the_file(self, tmp_path, monkeypatch,
+                                               capsys, values, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("reference curves built for a rejected series")
+
+        monkeypatch.setattr(cli, "build_reference_curves", no_simulation)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.csv").write_text("value\n" + "\n".join(values.split()) + "\n",
+                                        encoding="utf-8")
+        code = main(["fit", "--series", "s.csv", "--out", "out"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: s.csv: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_constant_series_warns_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("value\n" + "3\n" * 10, encoding="utf-8")
+        config = write_config(tmp_path / "ref.json", model="fixed",
+                              transmission_prob=0.5, runs=2)
+        out = tmp_path / "out"
+        code = main(["fit", "--series", str(path), "--config", str(config),
+                     "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: constant series; classification is "
+                                "low-confidence\n")
+        assert captured.out.startswith("best_model ")
+        assert (out / "fit.csv").exists()
+
     def test_missing_series_file_is_io_error(self, tmp_path):
         code = main(["fit", "--series", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path / "out")])
@@ -453,6 +591,24 @@ class TestReportCommand:
         assert [row[0] for row in rows[1:3]] == ["0", "1"]
         assert float(rows[1][1]) == result.curve.mean_fraction[0]
         assert rows[1][1] == repr(float(result.curve.mean_fraction[0]))
+
+
+class TestAtomicOpen:
+    def test_failing_block_leaves_the_target_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "runs.csv"
+        target.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with cli.atomic_open(target) as handle:
+                handle.write("new, partial")
+                raise RuntimeError("interrupted")
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.csv"]
+
+    def test_failing_block_creates_no_target(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with cli.atomic_open(tmp_path / "curve.csv"):
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWorkerEnvironment:

@@ -160,6 +160,15 @@ class TestSimConfig:
             config_from_dict(dict(base, model="fixed"))
         with pytest.raises(ValueError, match="graph.type"):
             config_from_dict(dict(base, graph={"n": 100}))
+        for doc, message in [(5, "config: expected an object"),
+                             (dict(base, graph=[]), "graph: expected an object"),
+                             (dict(base, model="fixed"),
+                              "transmission_prob: required by model 'fixed'"),
+                             (dict(base, seed_count=101),
+                              "seed_count: must not exceed graph n (100)")]:
+            with pytest.raises(ValueError) as info:
+                config_from_dict(doc)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("name, fingerprint", [
         ("sweep base", "bfe906b866443ed5"),
@@ -281,7 +290,8 @@ class TestRunEnsemble:
         save_edge_list(directed_cycle(3), path)
         cfg = SimConfig(graph=GraphSpec("file", path=str(path)), model=GROUP,
                         master_seed=2, seed_count=5, metrics=(1.0,))
-        with pytest.raises(ValueError, match="seed count"):
+        with pytest.raises(ValueError, match=r"^seed_count: must not exceed "
+                                             r"graph n \(3\)$"):
             run_ensemble(cfg)
 
     def test_curve_collection_matches_naive_padding(self):
@@ -389,10 +399,14 @@ class TestSweep:
         assert len(cells) == 2
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            sweep(self.base(), [("graph.n", [])])
-        with pytest.raises(ValueError, match="at least one axis"):
-            sweep(self.base(), [])
+        for axes, message in [([], "axes: needs at least one axis"),
+                              ([("graph.n", [])], "axes.graph.n: empty sweep range"),
+                              ([("runs", (1, 2))], "axes.runs: expected a list"),
+                              ([("runs", [1]), ("seed_count", 2)],
+                               "axes.seed_count: expected a list")]:
+            with pytest.raises(ValueError) as info:
+                sweep(self.base(), axes)
+            assert str(info.value) == message
 
     def test_failing_cell_recorded_and_sweep_continues(self):
         cells = sweep(self.base(), [("graph.k", [4, 5])])

@@ -112,6 +112,11 @@ class TestGraphCore:
         with pytest.raises(ValueError):
             Graph(0, [])
 
+    def test_rejects_arcs_that_are_not_pairs(self):
+        for arcs in ([[0, 1, 2]], [0, 1], np.zeros((2, 3), dtype=np.int64)):
+            with pytest.raises(ValueError, match=r"^arcs must be \(v, u\) pairs$"):
+                Graph(3, arcs)
+
     def test_node_count_is_capped_where_arc_codes_fit_int64(self):
         limit = graph.MAX_NODES
         assert limit ** 2 < 2 ** 63 <= (limit + 1) ** 2
