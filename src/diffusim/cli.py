@@ -189,8 +189,8 @@ def _summary_rows(stats):
 
 def cmd_run(args) -> int:
     config = _with_headline_metrics(parse_config(args.config, args.set))
-    outdir = _prepare_outdir(args.out)
     result = run_ensemble(config, workers=worker_count())
+    outdir = _prepare_outdir(args.out)
     write_csv(outdir / "runs.csv", RUNS_COLUMNS, _runs_rows(config, result))
     write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, _summary_rows(result.stats))
     return 0
@@ -298,9 +298,8 @@ def cmd_fit(args) -> int:
 
 def cmd_gen_graph(args) -> int:
     config = parse_config(args.config, args.set)
-    outdir = _prepare_outdir(args.out)
     g = run_graph(config, 0)
-    target = outdir / "graph.edges"
+    target = _prepare_outdir(args.out) / "graph.edges"
     with atomic_open(target) as handle:
         save_edge_list(g, handle)
     print(f"wrote {target} (n={g.n}, arcs={g.arc_count})")
@@ -315,13 +314,12 @@ def cmd_report(args) -> int:
     equivalent to having recorded it the first time.
     """
     config = parse_config(args.config, args.set)
-    outdir = _prepare_outdir(args.out)
     result = run_ensemble(config, workers=worker_count(), collect_curves=True)
     curve = result.curve
     rows = ([t, m, s] for t, (m, s) in
             enumerate(zip(curve.mean_fraction.tolist(),
                           curve.std_fraction.tolist())))
-    write_csv(outdir / "curve.csv", CURVE_COLUMNS, rows)
+    write_csv(_prepare_outdir(args.out) / "curve.csv", CURVE_COLUMNS, rows)
     return 0
 
 

@@ -43,8 +43,8 @@ import numpy as np
 from . import dynamics
 from .dynamics import ModelKind, SCHEMES, SYNCHRONOUS
 from .graph import (EdgeListError, Graph, GraphSpec, build_graph,
-                    check_field_types, config_key, config_value, decimal_int)
-from .metrics import evaluate_metric, metric_label
+                    check_field_types, config_key, decimal_int)
+from .metrics import evaluate_metric, metric_label, metric_target
 
 STREAM_RUN = 0
 STREAM_GRAPH = 1
@@ -100,31 +100,15 @@ class SimConfig:
             raise ValueError("max_steps: must be >= 1")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("master_seed: must be a 64-bit non-negative integer")
-        norm = []
-        for target in self.metrics:
-            if isinstance(target, (tuple, list)):
-                if len(target) != 2:
-                    raise ValueError(f"metrics: spread pair {list(target)} "
-                                     "needs exactly two fractions")
-                lo, hi = (config_value("metrics", "float", f) for f in target)
-                if not 0.0 < lo < hi <= 1.0:
-                    raise ValueError(f"metrics: bad spread pair ({lo}, {hi})")
-                norm.append((lo, hi))
-            else:
-                f = config_value("metrics", "float", target)
-                if not 0.0 < f <= 1.0:
-                    raise ValueError(f"metrics: fraction {f} outside (0, 1]")
-                norm.append(f)
+        norm = tuple(map(metric_target, self.metrics))
         if not norm:
             raise ValueError("metrics: must name at least one target")
-        seen = {}
-        for target in norm:
-            label = metric_label(target)
-            if label in seen:
-                raise ValueError(f"metrics: {seen[label]!r} and {target!r} "
-                                 f"share the label {label!r}")
-            seen[label] = target
-        object.__setattr__(self, "metrics", tuple(norm))
+        labels = [metric_label(target) for target in norm]
+        for i, label in enumerate(labels):
+            if labels.index(label) < i:
+                raise ValueError(f"metrics: {norm[labels.index(label)]!r} and "
+                                 f"{norm[i]!r} share the label {label!r}")
+        object.__setattr__(self, "metrics", norm)
 
     def check_graph_n(self, n: int) -> None:
         """The rule on n, which a ``file`` graph has once it is loaded."""
@@ -197,16 +181,15 @@ def config_to_dict(config: SimConfig) -> dict:
 
 
 def set_dotted(doc: dict, dotted_key: str, value) -> None:
-    """Assign into a nested dict along a dotted path, creating levels."""
-    parts = dotted_key.split(".")
-    node = doc
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
+    """Assign into a nested dict along a dotted path, creating missing
+    levels.  A level that holds anything but an object is never replaced:
+    the ValueError names the dotted key and that level."""
+    *levels, last = dotted_key.split(".")
+    for level in levels:
+        doc = doc.setdefault(level, {})
+        if not isinstance(doc, dict):
+            raise ValueError(f"{dotted_key}: {level!r} is not an object")
+    doc[last] = value
 
 
 def config_fingerprint(config: SimConfig) -> str:
@@ -515,9 +498,9 @@ def sweep(base: SimConfig, axes, workers: int = 1) -> list:
     grid = []  # per cell: assignments, then its config's position or its error
     for combo in itertools.product(*[values for _, values in axes]):
         doc = copy.deepcopy(base_doc)
-        for key, value in zip(keys, combo):
-            set_dotted(doc, key, value)
-        try:
+        try:  # an axis may run through a scalar that another axis set
+            for key, value in zip(keys, combo):
+                set_dotted(doc, key, copy.deepcopy(value))
             configs.append(config_from_dict(doc))
             outcome = len(configs) - 1
         except ValueError as exc:

@@ -5,6 +5,10 @@ plus the step the run ended at.  Metrics either yield a step count or
 ``None``: the target fraction was never reached before the trajectory ended
 (censored).  Censoring is kept explicit all the way up to the ensemble
 statistics; it is never silently swapped for the step limit.
+
+A metric target is a fraction f, 0 < f <= 1, or a pair of exactly two
+fractions, 0 < lo < hi <= 1.  metric_target states this rule once, and
+SimConfig, time_to_fraction and spread_time apply it with its messages.
 """
 from __future__ import annotations
 
@@ -13,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .graph import config_value
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,22 @@ class Trajectory:
         return int(np.count_nonzero(self.infection_time >= 0))
 
 
+def metric_target(target):
+    """``target`` checked as the rule above states; a pair comes back a tuple."""
+    if isinstance(target, (tuple, list)):
+        if len(target) != 2:
+            raise ValueError(f"metrics: spread pair {list(target)} "
+                             "needs exactly two fractions")
+        lo, hi = (config_value("metrics", "float", f) for f in target)
+        if not 0.0 < lo < hi <= 1.0:
+            raise ValueError(f"metrics: bad spread pair ({lo}, {hi})")
+        return lo, hi
+    f = config_value("metrics", "float", target)
+    if not 0.0 < f <= 1.0:
+        raise ValueError(f"metrics: fraction {f} outside (0, 1]")
+    return f
+
+
 def fraction_threshold(n: int, f: float) -> int:
     """Node count that realizes "a fraction f of the network".
 
@@ -76,9 +98,7 @@ def fraction_threshold(n: int, f: float) -> int:
     every node.  The tiny back-off keeps exact products like 0.01*100 from
     rounding up one past the true ceiling.
     """
-    if not 0.0 < f <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    return max(1, math.ceil(f * n - 1e-9))
+    return max(1, math.ceil(metric_target(f) * n - 1e-9))
 
 
 def time_to_fraction(traj: Trajectory, f: float) -> int | None:
@@ -99,8 +119,7 @@ def spread_time(traj: Trajectory, f_lo: float, f_hi: float) -> int | None:
     None (censored) exactly when f_hi is never reached.  fraction_threshold
     is monotone in f, so f_lo is reached whenever f_hi is.
     """
-    if not 0.0 < f_lo < f_hi <= 1.0:
-        raise ValueError("fractions must satisfy 0 < f_lo < f_hi <= 1")
+    f_lo, f_hi = metric_target((f_lo, f_hi))
     hi = time_to_fraction(traj, f_hi)
     return None if hi is None else hi - time_to_fraction(traj, f_lo)
 
@@ -123,5 +142,5 @@ def evaluate_metric(traj: Trajectory, target) -> int | None:
     """Dispatch a metric target (f or (f_lo, f_hi)) against a trajectory."""
     if isinstance(target, (tuple, list)):
         lo, hi = target
-        return spread_time(traj, float(lo), float(hi))
-    return time_to_fraction(traj, float(target))
+        return spread_time(traj, lo, hi)
+    return time_to_fraction(traj, target)

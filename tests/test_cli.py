@@ -154,6 +154,16 @@ class TestExitCodes:
                      str(blocker / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["run", "report", "gen-graph"])
+    def test_missing_graph_file_is_io_error_leaving_no_outdir(self, tmp_path,
+                                                               capsys, command):
+        graph = {"type": "file", "path": str(tmp_path / "absent.edges")}
+        config = write_config(tmp_path / "c.json", graph=graph)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not out.exists()
+
     def test_malformed_spread_pair_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", metrics=[[0.1]])
         code = main(["run", "--config", str(config), "--out",
@@ -237,6 +247,8 @@ class TestRejectionsNameTheirKey:
         ({}, [".x=1"], "override '.x=1' has an empty key segment"),
         ({}, ["graph..n=1"], "override 'graph..n=1' has an empty key segment"),
         ({}, ["graph.=1"], "override 'graph.=1' has an empty key segment"),
+        ({}, ["model.x=1"], "model.x: 'model' is not an object"),
+        ({}, ["runs.x=1"], "runs.x: 'runs' is not an object"),
     ])
     def test_run_config(self, tmp_path, monkeypatch, capsys, config, overrides,
                         message):
@@ -247,7 +259,7 @@ class TestRejectionsNameTheirKey:
         for item in overrides:
             argv += ["--set", item]
         assert self.run_main(capsys, argv) == (1, f"error: {message}\n")
-        assert not (tmp_path / "out" / "runs.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, message", [
         ('{"model": "group", "runs": 1, "runs": 3}', "c.json: duplicate key 'runs'"),
@@ -279,6 +291,17 @@ class TestRejectionsNameTheirKey:
         (tmp_path / "s.json").write_text(text, encoding="utf-8")
         argv = ["sweep", "--config", "s.json", "--out", "out"]
         assert self.run_main(capsys, argv) == (1, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_override_through_a_scalar_base(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text('{"base": 5, "axes": {"runs": [1]}}',
+                                         encoding="utf-8")
+        argv = ["sweep", "--config", "s.json", "--out", "out",
+                "--set", "base.model=group"]
+        assert self.run_main(capsys, argv) == (
+            1, "error: base.model: 'base' is not an object\n")
         assert not (tmp_path / "out").exists()
 
     def test_sweep_errors_name_seed_count(self, tmp_path, monkeypatch, capsys):

@@ -207,6 +207,13 @@ class TestSimConfig:
         set_dotted(doc, "a.b.c", 1)
         assert doc == {"graph": {"n": 20}, "model": "group",
                        "a": {"b": {"c": 1}}}
+        # a level that holds a scalar is named, never replaced
+        for key, message in [("model.x", "model.x: 'model' is not an object"),
+                             ("a.b.c.d", "a.b.c.d: 'c' is not an object")]:
+            with pytest.raises(ValueError) as info:
+                set_dotted(doc, key, 2)
+            assert str(info.value) == message
+        assert doc["model"] == "group" and doc["a"] == {"b": {"c": 1}}
 
 
 class TestRunEnsemble:
@@ -413,6 +420,15 @@ class TestSweep:
         assert cells[0].error is None
         assert cells[1].error is not None and "k" in cells[1].error
         assert cells[1].stats is None
+
+    def test_axis_through_a_scalar_fails_its_cell_only(self):
+        cycle = {"type": "cycle", "n": 5}
+        cells = sweep(self.base(), [("graph", [cycle, 5]), ("graph.n", [6, 7])])
+        assert [cell.error for cell in cells] == [
+            None, None] + ["graph.n: 'graph' is not an object"] * 2
+        # each cell reports, and leaves, the axis values as declared
+        assert [cell.assignments[0][1] for cell in cells[:2]] == [cycle] * 2
+        assert cycle == {"type": "cycle", "n": 5}
 
     def test_transmission_prob_axis(self):
         base = SimConfig(graph=GraphSpec("directed_cycle", n=10),

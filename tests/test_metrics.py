@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
+from diffusim.dynamics import GROUP
+from diffusim.experiment import SimConfig
+from diffusim.graph import GraphSpec
 from diffusim.metrics import (Trajectory, evaluate_metric, fraction_threshold,
                               metric_label, spread_time, time_to_fraction)
 
@@ -54,6 +57,27 @@ class TestTrajectoryType:
         empty = Trajectory.from_seeds(4, [])  # nobody infected is a state too
         assert empty.counts.tolist() == [0] and empty.final_infected == 0
         assert time_to_fraction(empty, 0.25) is None
+
+
+@pytest.mark.parametrize("target, message", [
+    (1.5, "metrics: fraction 1.5 outside (0, 1]"),
+    (0.0, "metrics: fraction 0.0 outside (0, 1]"),
+    ((0.9, 0.2), "metrics: bad spread pair (0.9, 0.2)"),
+    ((0.5, 0.5), "metrics: bad spread pair (0.5, 0.5)"),
+    ((0.1,), "metrics: spread pair [0.1] needs exactly two fractions"),
+])
+def test_a_bad_target_gets_one_message_everywhere(target, message):
+    """The config, the threshold and the spread time apply one rule."""
+    rejections = [lambda: SimConfig(graph=GraphSpec("directed_cycle", n=10),
+                                    model=GROUP, master_seed=1, metrics=(target,))]
+    if not isinstance(target, tuple):
+        rejections.append(lambda: fraction_threshold(10, target))
+    elif len(target) == 2:
+        rejections.append(lambda: spread_time(traj_from_counts([1, 2], 10), *target))
+    for reject in rejections:
+        with pytest.raises(ValueError) as info:
+            reject()
+        assert str(info.value) == message
 
 
 class TestFractionThreshold:
