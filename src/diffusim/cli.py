@@ -133,9 +133,9 @@ def _parse_override(text: str) -> tuple:
 
 def load_config_document(path: str, overrides) -> dict:
     """Read a JSON config and apply dotted overrides in flag order."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    try:  # a missing file is an OSError, which passes through
+        doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:

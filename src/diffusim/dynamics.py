@@ -106,14 +106,22 @@ class SeedSet:
             raise ValueError("seed node ids must be >= 0")
 
 
+def check_seed_count(count: int, n: int | None) -> None:
+    """The seed-count rule: 1 <= count <= n, where n is None while a
+    ``file`` graph is not loaded yet."""
+    if count < 1:
+        raise ValueError("seed_count: must be >= 1")
+    if n is not None and count > n:
+        raise ValueError(f"seed_count: must not exceed graph n ({n})")
+
+
 def seed_random(g: Graph, count: int, rng: np.random.Generator) -> SeedSet:
     """Uniform sample of ``count`` distinct nodes (partial Fisher-Yates).
 
     Consumes exactly ``count`` integer draws from the stream.
     """
     n = g.n
-    if not 1 <= count <= n:
-        raise ValueError(f"seed count must be within [1, {n}]")
+    check_seed_count(count, n)
     pool = list(range(n))
     for i in range(count):
         j = i + int(rng.integers(n - i))

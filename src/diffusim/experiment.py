@@ -90,10 +90,7 @@ class SimConfig:
         check_field_types(self)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme: unknown value {self.scheme!r}")
-        if self.seed_count < 1:
-            raise ValueError("seed_count: must be >= 1")
-        if self.graph.n is not None:
-            self.check_graph_n(self.graph.n)
+        dynamics.check_seed_count(self.seed_count, self.graph.n)
         if self.runs < 1:
             raise ValueError("runs: must be >= 1")
         if self.max_steps is not None and self.max_steps < 1:
@@ -109,11 +106,6 @@ class SimConfig:
                 raise ValueError(f"metrics: {norm[labels.index(label)]!r} and "
                                  f"{norm[i]!r} share the label {label!r}")
         object.__setattr__(self, "metrics", norm)
-
-    def check_graph_n(self, n: int) -> None:
-        """The rule on n, which a ``file`` graph has once it is loaded."""
-        if self.seed_count > n:
-            raise ValueError(f"seed_count: must not exceed graph n ({n})")
 
     def effective_max_steps(self, n: int) -> int:
         if self.max_steps is not None:
@@ -251,7 +243,6 @@ class EnsembleResult:
 
 def _execute_run(config: SimConfig, g: Graph, run_index: int,
                  collect_curves: bool):
-    config.check_graph_n(g.n)
     rng = derive_run_rng(config.master_seed, run_index)
     seeds = dynamics.seed_random(g, config.seed_count, rng)
     traj = dynamics.run(config.model, g, seeds, config.scheme,
@@ -270,14 +261,17 @@ def _execute_run(config: SimConfig, g: Graph, run_index: int,
 
 def run_graph(config: SimConfig, run_index: int) -> Graph:
     """The graph run ``run_index`` uses: a random graph is drawn from graph
-    stream ``run_index``, or from index 0's when it is shared by all runs."""
+    stream ``run_index``, or from index 0's when it is shared by all runs.
+    Each failure to read a ``file`` graph names ``graph.path`` and the file."""
     spec, rng = config.graph, None
     if spec.is_random:
         shared = not config.regenerate_graph_per_run
         rng = derive_graph_rng(config.master_seed, 0 if shared else run_index)
     try:
         return build_graph(spec, rng)
-    except EdgeListError as exc:  # names the line; this names the file
+    except OSError as exc:
+        raise OSError(f"graph.path: {spec.path}: {exc.strerror}") from None
+    except (EdgeListError, UnicodeDecodeError) as exc:
         raise ValueError(f"graph.path: {spec.path}: {exc}") from None
     except MemoryError:
         key, value = ("path", spec.path) if spec.generator == "file" else ("n", spec.n)

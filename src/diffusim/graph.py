@@ -34,13 +34,10 @@ _GENERATOR_ALIASES = {
 
 
 class EdgeListError(ValueError):
-    """Malformed edge-list input; carries the offending 1-based line number."""
+    """Malformed edge-list input; names the offending 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class ArcError(ValueError):
@@ -126,15 +123,11 @@ class Graph:
         """Read-only (m, 2) array of arcs sorted by (source, destination)."""
         return np.stack([self._arc_src, self._arc_dst], axis=1)
 
-    def _check_node(self, u: int) -> int:
+    def out_neighbors(self, u: int) -> np.ndarray:
+        """Nodes w with an arc u -> w, ascending (read-only view)."""
         u = int(u)
         if not 0 <= u < self.n:
             raise ValueError(f"node id {u} out of range [0, {self.n})")
-        return u
-
-    def out_neighbors(self, u: int) -> np.ndarray:
-        """Nodes w with an arc u -> w, ascending (read-only view)."""
-        u = self._check_node(u)
         return self._arc_dst[self._out_indptr[u]:self._out_indptr[u + 1]]
 
     @property
@@ -378,13 +371,9 @@ def directed_cycle(n: int) -> Graph:
 _SAVE_BLOCK = 65_536  # arcs formatted per write
 
 
-def save_edge_list(g: Graph, sink: PathOrFile) -> None:
-    """Write ``g`` in the edge-list text format (header n, then "v u" lines),
-    one block of arcs at a time."""
-    if not hasattr(sink, "write"):
-        with Path(sink).open("w", encoding="utf-8") as handle:
-            save_edge_list(g, handle)
-        return
+def save_edge_list(g: Graph, sink: IO[str]) -> None:
+    """Write ``g`` to the open text handle ``sink`` in the edge-list text
+    format (header n, then "v u" lines), one block of arcs at a time."""
     sink.write(f"{g.n}\n")
     for start in range(0, g.arc_count, _SAVE_BLOCK):
         block = slice(start, start + _SAVE_BLOCK)
@@ -525,7 +514,8 @@ def check_field_types(obj) -> None:
 
 
 def _read_file(path: str) -> Graph:
-    """Builder of the ``file`` generator, whose one argument is ``path``."""
+    """Builder of the ``file`` generator, whose one argument is ``path``;
+    it looks up ``load_edge_list`` per call, so that a wrapper sees each load."""
     return load_edge_list(path)
 
 

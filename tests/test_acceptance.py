@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -163,6 +164,35 @@ class TestAcceptance:
             notes = (ROOT / "reports" / "onset_spread_notes.md").read_text(
                 encoding="utf-8")
             assert "no cell" in notes.lower()
+
+    def test_calibration_notes_table_follows_from_the_committed_csv(self):
+        """Each row of the notes' table, and both ratio ranges they state,
+        are recomputed from the committed sweep summary by one rounding
+        rule: a mean as format(mean, ".1f"), a ratio of the unrounded means
+        (global/group) as format(ratio, ".2f")."""
+        with open(ROOT / "reports" / "onset_spread_sweep_summary.csv",
+                  newline="", encoding="utf-8") as handle:
+            means = {tuple(row[k] for k in ("graph.n", "graph.k", "graph.beta",
+                                            "scheme", "model", "metric")):
+                     float(row["mean"]) for row in csv.DictReader(handle)}
+        short = {"synchronous": "sync", "async_single_node": "async"}
+        cells = sorted({key[:4] for key in means},
+                       key=lambda c: (int(c[0]), int(c[1]), float(c[2]), short[c[3]]))
+        rows, ratios = [], {"onset": [], "spread": []}
+        for cell in cells:
+            row = [*cell[:3], short[cell[3]]]
+            for name, metric in (("onset", "time_to_0.01"),
+                                 ("spread", "spread_0.01_0.99")):
+                gl, gr = (means[(*cell, model, metric)] for model in ("global", "group"))
+                ratios[name].append(gl / gr)
+                row += [format(gl, ".1f"), format(gr, ".1f"), format(gl / gr, ".2f")]
+            rows.append("| " + " | ".join(row) + " |")
+        notes = (ROOT / "reports" / "onset_spread_notes.md").read_text(encoding="utf-8")
+        assert [line for line in notes.splitlines() if re.match(r"\| [0-9]", line)] == rows
+        prose = " ".join(notes.split())
+        for name, values in ratios.items():
+            stated = f"{name.capitalize()} ratios sit in [{min(values):.2f}, {max(values):.2f}]"
+            assert stated in prose
 
     def test_run_command_bytes_ignore_worker_count(self, tmp_path):
         """Identical config and master seed produce byte-identical runs.csv

@@ -253,7 +253,8 @@ class TestRejectionsNameTheirKey:
     def test_run_config(self, tmp_path, monkeypatch, capsys, config, overrides,
                         message):
         monkeypatch.chdir(tmp_path)
-        save_edge_list(directed_cycle(3), tmp_path / "three.edges")
+        with (tmp_path / "three.edges").open("w", encoding="utf-8") as handle:
+            save_edge_list(directed_cycle(3), handle)
         write_config(tmp_path / "c.json", **config)
         argv = ["run", "--config", "c.json", "--out", "out"]
         for item in overrides:
@@ -272,6 +273,58 @@ class TestRejectionsNameTheirKey:
         argv = ["run", "--config", "c.json", "--out", "out"]
         assert self.run_main(capsys, argv) == (1, f"error: {message}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, line", [
+        (b'{"runs": 1}\xff', "error: c.json: 'utf-8' codec can't decode byte "
+                              "0xff in position 11: invalid start byte"),
+        (None, "i/o error: [Errno 2] No such file or directory: 'c.json'"),
+    ])
+    def test_config_file_that_cannot_be_read(self, tmp_path, monkeypatch, capsys,
+                                             content, line):
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / "c.json").write_bytes(content)
+        argv = ["run", "--config", "c.json", "--out", "out"]
+        code = 2 if content is None else 1
+        assert self.run_main(capsys, argv) == (code, f"{line}\n")
+        assert not (tmp_path / "out").exists()
+
+    UNREADABLE_GRAPHS = [
+        ("absent.edges", "i/o error: graph.path: absent.edges: No such file or directory"),
+        ("folder", "i/o error: graph.path: folder: Is a directory"),
+        ("bytes.edges", "error: graph.path: bytes.edges: 'utf-8' codec can't "
+                        "decode byte 0xff in position 0: invalid start byte"),
+    ]
+
+    @staticmethod
+    def make_unreadable_graphs(tmp_path):
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "bytes.edges").write_bytes(b"\xff\xfe3\n0 1\n")
+
+    @pytest.mark.parametrize("command", ["run", "report", "gen-graph"])
+    @pytest.mark.parametrize("path, line", UNREADABLE_GRAPHS)
+    def test_graph_file_that_cannot_be_read(self, tmp_path, monkeypatch, capsys,
+                                            command, path, line):
+        monkeypatch.chdir(tmp_path)
+        self.make_unreadable_graphs(tmp_path)
+        write_config(tmp_path / "c.json", graph={"type": "file", "path": path})
+        argv = [command, "--config", "c.json", "--out", "out"]
+        code = 2 if line.startswith("i/o error: ") else 1
+        assert self.run_main(capsys, argv) == (code, f"{line}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_errors_name_a_graph_file_that_cannot_be_read(self, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.make_unreadable_graphs(tmp_path)
+        base = json.loads(write_config(tmp_path / "c.json").read_text())
+        graphs = [{"type": "file", "path": path} for path, _ in self.UNREADABLE_GRAPHS]
+        doc = {"base": base, "axes": {"graph": graphs}}
+        (tmp_path / "s.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sweep", "--config", "s.json", "--out", "out"]) == 0
+        errors = read_rows(tmp_path / "out" / "sweep_errors.csv")
+        assert [row[-1] for row in errors[1:]] == [
+            line.partition("error: ")[2] for _, line in self.UNREADABLE_GRAPHS]
 
     @pytest.mark.parametrize("text, message", [
         ('{"base": 5, "axes": {"runs": [1]}}', "base: expected an object"),
@@ -306,7 +359,8 @@ class TestRejectionsNameTheirKey:
 
     def test_sweep_errors_name_seed_count(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        save_edge_list(directed_cycle(3), tmp_path / "three.edges")
+        with (tmp_path / "three.edges").open("w", encoding="utf-8") as handle:
+            save_edge_list(directed_cycle(3), handle)
         base = json.loads(write_config(tmp_path / "c.json").read_text())
         doc = {"base": base, "axes": {"graph": [{"type": "cycle", "n": 3},
                                                 {"type": "file", "path": "three.edges"}],

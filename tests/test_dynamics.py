@@ -11,6 +11,7 @@ from diffusim import dynamics
 from diffusim.dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, ModelKind,
                                SCHEMES, SYNCHRONOUS, SeedSet, fixed, run,
                                seed_random, step)
+from diffusim.experiment import SimConfig
 from diffusim.graph import (Graph, GraphSpec, build_graph, complete_graph,
                             directed_cycle, watts_strogatz)
 from diffusim.metrics import Trajectory
@@ -73,6 +74,18 @@ class TestSeedSet:
             seed_random(g, 0, rng_for(32))
         with pytest.raises(ValueError):
             seed_random(g, 6, rng_for(33))
+
+    @pytest.mark.parametrize("count, message", [
+        (0, "seed_count: must be >= 1"),
+        (6, "seed_count: must not exceed graph n (5)"),
+    ])
+    def test_seed_random_gives_the_config_messages(self, count, message):
+        with pytest.raises(ValueError) as sampled:
+            seed_random(directed_cycle(5), count, rng_for(57))
+        with pytest.raises(ValueError) as configured:
+            SimConfig(graph=GraphSpec("cycle", n=5), model=GROUP, master_seed=1,
+                      seed_count=count)
+        assert str(sampled.value) == str(configured.value) == message
 
     def test_seed_random_is_roughly_uniform(self):
         g = directed_cycle(10)

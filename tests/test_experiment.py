@@ -285,7 +285,8 @@ class TestRunEnsemble:
 
     def test_file_graph_ensemble(self, tmp_path):
         path = tmp_path / "ring.edges"
-        save_edge_list(directed_cycle(30), path)
+        with path.open("w", encoding="utf-8") as handle:
+            save_edge_list(directed_cycle(30), handle)
         cfg = SimConfig(graph=GraphSpec("file", path=str(path)), model=GROUP,
                         master_seed=2, runs=3, metrics=(1.0,))
         result = run_ensemble(cfg)
@@ -294,7 +295,8 @@ class TestRunEnsemble:
 
     def test_seed_count_exceeding_file_graph_detected(self, tmp_path):
         path = tmp_path / "tiny.edges"
-        save_edge_list(directed_cycle(3), path)
+        with path.open("w", encoding="utf-8") as handle:
+            save_edge_list(directed_cycle(3), handle)
         cfg = SimConfig(graph=GraphSpec("file", path=str(path)), model=GROUP,
                         master_seed=2, seed_count=5, metrics=(1.0,))
         with pytest.raises(ValueError, match=r"^seed_count: must not exceed "
@@ -460,7 +462,8 @@ class TestGroupedSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_each_cell_run_alone(self, tmp_path, workers):
         edges = tmp_path / "small.edges"
-        save_edge_list(directed_cycle(20), str(edges))
+        with edges.open("w", encoding="utf-8") as handle:
+            save_edge_list(directed_cycle(20), handle)
         base = SimConfig(graph=GraphSpec("watts_strogatz", n=30, k=4, beta=0.2),
                          model=GROUP, master_seed=5, runs=3,
                          metrics=(0.5, (0.1, 0.9)))

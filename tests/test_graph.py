@@ -296,7 +296,8 @@ class TestEdgeList:
     def test_round_trip_file(self, tmp_path):
         g = watts_strogatz(25, 4, 0.3, rng_for(10))
         path = tmp_path / "g.edges"
-        save_edge_list(g, path)
+        with path.open("w", encoding="utf-8") as handle:
+            save_edge_list(g, handle)
         h = load_edge_list(path)
         assert h.n == g.n and arc_set(h) == arc_set(g)
 
@@ -429,13 +430,15 @@ class TestEdgeListReaders:
         monkeypatch.setattr(graph, "_load_lines", _no_line_parser)
         for g in (watts_strogatz(300, 6, 0.2, rng_for(13)), directed_cycle(2), Graph(4, [])):
             path = tmp_path / "g.edges"
-            save_edge_list(g, path)
+            with path.open("w", encoding="utf-8") as handle:
+                save_edge_list(g, handle)
             assert load_edge_list(path) == g
 
     def test_loading_a_saved_file_takes_at_most_128_bytes_per_arc(self, tmp_path):
         g = watts_strogatz(8_000, 6, 0.1, rng_for(14))
         path = tmp_path / "g.edges"
-        save_edge_list(g, path)
+        with path.open("w", encoding="utf-8") as handle:
+            save_edge_list(g, handle)
         tracemalloc.start()
         try:
             h = load_edge_list(path)
@@ -454,7 +457,8 @@ class TestEdgeListReaders:
             buf = io.StringIO()
             save_edge_list(g, buf)
             assert buf.getvalue() == expected
-            save_edge_list(g, tmp_path / "g.edges")
+            with (tmp_path / "g.edges").open("w", encoding="utf-8") as handle:
+                save_edge_list(g, handle)
             assert (tmp_path / "g.edges").read_bytes() == expected.encode()
 
 
@@ -470,9 +474,27 @@ class TestGraphSpec:
 
     def test_build_from_file(self, tmp_path):
         path = tmp_path / "g.edges"
-        save_edge_list(directed_cycle(7), path)
+        with path.open("w", encoding="utf-8") as handle:
+            save_edge_list(directed_cycle(7), handle)
         g = build_graph(GraphSpec("file", path=str(path)))
         assert g == directed_cycle(7)
+
+    def test_file_builder_looks_up_the_loader_on_each_call(self, tmp_path,
+                                                           monkeypatch):
+        """A wrapper set on ``graph.load_edge_list`` after import, as the
+        bench tracer sets one, sees the load."""
+        path = tmp_path / "g.edges"
+        path.write_text("3\n0 1\n", encoding="utf-8")
+        calls = []
+        load = graph.load_edge_list
+
+        def counting_load(source):
+            calls.append(source)
+            return load(source)
+
+        monkeypatch.setattr(graph, "load_edge_list", counting_load)
+        assert build_graph(GraphSpec("file", path=str(path))) == Graph(3, [(0, 1)])
+        assert calls == [str(path)]
 
     def test_random_generator_needs_stream(self):
         with pytest.raises(ValueError, match="random stream"):

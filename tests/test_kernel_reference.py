@@ -51,7 +51,8 @@ def random_graph(generator: str, rng: np.random.Generator, tmp_path):
     pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n + 1)), 2))
     arcs = sorted({(v, u) for v, u in pairs.tolist() if v != u})
     path = tmp_path / "instance.edges"
-    graph.save_edge_list(graph.Graph(n, arcs), path)
+    with path.open("w", encoding="utf-8") as handle:
+        graph.save_edge_list(graph.Graph(n, arcs), handle)
     return graph.load_edge_list(path)
 
 
