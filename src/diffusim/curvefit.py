@@ -55,7 +55,8 @@ def normalize_series(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReferenceCurve:
-    """Ensemble-mean adoption curve for one model under a stated config."""
+    """Ensemble-mean adoption curve for one model under a stated config:
+    finite, at least 2 points, within [0, 1] and non-decreasing."""
 
     model: str
     curve: np.ndarray
@@ -64,6 +65,8 @@ class ReferenceCurve:
         arr = np.asarray(self.curve, dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(self, "curve", arr)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("reference curve must be finite")
         if arr.size < 2:
             raise ValueError("reference curve needs at least 2 points")
         if arr.min() < 0.0 or arr.max() > 1.0 + 1e-12:
@@ -126,15 +129,10 @@ def _sse(obs: np.ndarray, curve: np.ndarray, a: float, b: float, c: float) -> fl
 
 def _fit_one(obs: np.ndarray, curve: np.ndarray) -> tuple:
     length = curve.size
-    offsets = tuple(np.linspace(-length / 4.0, length / 4.0, OFFSET_POINTS))
-    best = None
-    for a in TIME_SCALES:
-        for b in offsets:
-            for c in AMPLITUDES:
-                sse = _sse(obs, curve, a, b, c)
-                if best is None or sse < best[0]:
-                    best = (sse, float(a), float(b), float(c))
-    sse, *x = best  # x = [a, b, c]
+    offsets = np.linspace(-length / 4.0, length / 4.0, OFFSET_POINTS)
+    # x = [a, b, c]; each axis ascends, so a tie goes to the first lattice point
+    sse, *x = min((_sse(obs, curve, a, b, c), float(a), float(b), float(c))
+                  for a in TIME_SCALES for b in offsets for c in AMPLITUDES)
     steps = [x[0] / 2.0, length / 16.0, 0.125]
     for _ in range(3):
         for i, step in enumerate(steps):  # a, then b, then c

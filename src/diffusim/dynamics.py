@@ -129,39 +129,40 @@ def seed_random(g: Graph, count: int, rng: np.random.Generator) -> SeedSet:
     return SeedSet(tuple(pool[:count]))
 
 
-def _rule_table(model: ModelKind, in_deg: np.ndarray) -> tuple:
+def _rule_state(model: ModelKind, g: Graph, infected: np.ndarray) -> tuple:
     """The fixed or group rule as one flat table: a susceptible node u with d
-    infected in-neighbors has p = table[row[u] + d].  Fixed has one row, for
-    d = 0..max in-degree; group one per distinct in-degree.  Entries come
-    from scalar arithmetic, so both kernels see bit-identical values."""
+    infected in-neighbors has p = table[slot[u]], where slot[u] = row[u] + d.
+    Fixed has one row, for d = 0..max in-degree; group one per distinct
+    in-degree.  Entries come from scalar arithmetic, so both kernels see
+    bit-identical values."""
+    in_deg = g.in_degrees
     if model.kind == "fixed":
         q = model.transmission_prob
         table = [1.0 - (1 - q) ** d for d in range(in_deg.max() + 1)]
-        return np.array(table), np.zeros_like(in_deg)
-    degs, which = np.unique(in_deg, return_inverse=True)
-    table = [d / deg if deg else 0.0 for deg in degs.tolist() for d in range(deg + 1)]
-    return np.array(table), (np.cumsum(degs + 1) - degs - 1)[which]
-
-
-def _infected_in_counts(g: Graph, infected: np.ndarray) -> np.ndarray:
-    """inf_in[u] = number of infected in-neighbors of u."""
-    return np.bincount(g._arc_dst[infected[g._arc_src]], minlength=g.n).astype(np.int64)
+        row = np.zeros_like(in_deg)
+    else:
+        degs, which = np.unique(in_deg, return_inverse=True)
+        table = [d / deg if deg else 0.0 for deg in degs.tolist() for d in range(deg + 1)]
+        row = (np.cumsum(degs + 1) - degs - 1)[which]
+    slot = row + np.bincount(g._arc_dst[infected[g._arc_src]], minlength=g.n)
+    return np.array(table), row, slot
 
 
 def _kernel(scheme: str):
-    if scheme == SYNCHRONOUS:
-        return _run_synchronous
-    if scheme == ASYNC_SINGLE_NODE:
-        return _run_async
-    raise ValueError(f"unknown update scheme {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme: unknown value {scheme!r}")
+    return _run_synchronous if scheme == SYNCHRONOUS else _run_async
 
 
 def step(model: ModelKind, g: Graph, traj: Trajectory, scheme: str,
          rng: np.random.Generator) -> Trajectory:
     """Advance one step under the given scheme: one step of the kernel
     ``run`` uses, from ``traj.steps_executed``.  Returns a new trajectory
-    one step longer; ``traj`` is left as it is."""
+    one step longer; ``traj`` is left as it is.  A trajectory whose n is
+    not the graph's is rejected before any draw."""
     kernel = _kernel(scheme)
+    if traj.n != g.n:
+        raise ValueError(f"trajectory n ({traj.n}) does not match graph n ({g.n})")
     times = traj.infection_time.copy()
     t = traj.steps_executed
     kernel(model, g, times, t, t + 1, rng)
@@ -201,8 +202,7 @@ def _run_synchronous(model, g, times, t, max_steps, rng):
     i_count = n - susceptible.size
     if kind != "global":
         indptr, indices, out_deg = g._out_indptr, g._arc_dst, g.out_degrees
-        table, slot = _rule_table(model, g.in_degrees)
-        slot += _infected_in_counts(g, times >= 0)  # u's p is table[slot[u]]
+        table, _, slot = _rule_state(model, g, times >= 0)  # u's p is table[slot[u]]
         prob = table[slot]
 
     while i_count < n and t < max_steps:
@@ -242,11 +242,9 @@ def _run_async(model, g, times, t, max_steps, rng):
     # prob[u]: susceptible u's probability (0.0 under global), None once infected
     prob = [0.0] * n
     if local:
-        inf_in = _infected_in_counts(g, infected)
-        boundary = int(inf_in[~infected].sum())  # infected -> susceptible arcs
-        table, row = _rule_table(model, g.in_degrees)
-        slot = (row + inf_in).tolist()  # u's p is table[slot[u]]
-        table, row = table.tolist(), row.tolist()
+        table, row, slot = _rule_state(model, g, infected)
+        boundary = int((slot - row)[~infected].sum())  # infected -> susceptible arcs
+        table, row, slot = table.tolist(), row.tolist(), slot.tolist()
         prob = [table[s] for s in slot]  # a few shared floats, not n new ones
         indptr, flat = g._out_indptr.tolist(), g._arc_dst.tolist()
         # absorbed before the first draw; fixed(q) has p(1) = 0 iff every p is 0

@@ -41,7 +41,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from . import dynamics
-from .dynamics import ModelKind, SCHEMES, SYNCHRONOUS
+from .dynamics import ModelKind, SYNCHRONOUS
 from .graph import (EdgeListError, Graph, GraphSpec, build_graph,
                     check_field_types, config_key, decimal_int)
 from .metrics import evaluate_metric, metric_label, metric_target
@@ -88,8 +88,7 @@ class SimConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme: unknown value {self.scheme!r}")
+        dynamics._kernel(self.scheme)
         dynamics.check_seed_count(self.seed_count, self.graph.n)
         if self.runs < 1:
             raise ValueError("runs: must be >= 1")
@@ -437,8 +436,11 @@ def _accumulate_curve(histories, n: int) -> CurveStats:
     any processing order gives identical bytes.
     """
     horizon = max(steps for _, steps in histories) + 1
-    sums = np.zeros(horizon, dtype=np.int64)
-    sumsq = np.zeros(horizon, dtype=np.int64)
+    try:
+        sums, sumsq = np.zeros((2, horizon), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: "Maximum allowed dimension exceeded"
+        raise ValueError(f"max_steps: a curve of {horizon} steps does not fit "
+                         "in memory") from None
     for times, _ in histories:
         np.add.at(sums, times, 1)
         np.add.at(sumsq, times, 2 * np.arange(1, times.size + 1, dtype=np.int64) - 1)

@@ -1,8 +1,8 @@
-"""Exact oracle for the synchronous global-model count process.
+"""Exact oracles for the global-model count process.
 
 Under the global rule every susceptible node is infected with probability
-I_t / n each synchronous step, whatever the topology, so the infected count
-is a one-dimensional Markov chain.  Its exact distribution checks the
+I_t / n each step, whatever the topology, so the infected count is a
+one-dimensional Markov chain under either scheme.  Its exact law checks the
 simulator's ensemble means in the tests.
 """
 from __future__ import annotations
@@ -44,3 +44,19 @@ def global_count_dp(n: int, i0: int, steps: int) -> np.ndarray:
     """E[I_t] for t = 0..steps under the exact global-count chain."""
     dist = global_count_distribution(n, i0, steps)
     return dist @ np.arange(n + 1, dtype=np.float64)
+
+
+def async_global_time_to(n: int, i0: int, k: int) -> tuple:
+    """Exact mean and variance of the first step with k infected under the
+    async global rule, from i0 infected at step 0.
+
+    A step picks a susceptible node with probability (n - i)/n, which then
+    joins with probability i/n, so the wait from i to i + 1 infected is
+    geometric with p_i = (n - i) * i / n^2.  The waits are independent:
+    mean sum 1/p_i, variance sum (1 - p_i)/p_i^2, over i = i0 .. k - 1.
+    """
+    if not 1 <= i0 <= k <= n:
+        raise ValueError("need 1 <= i0 <= k <= n")
+    i = np.arange(i0, k, dtype=np.float64)
+    p = (n - i) * i / n ** 2
+    return float(np.sum(1.0 / p)), float(np.sum((1.0 - p) / p ** 2))

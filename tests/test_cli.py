@@ -313,6 +313,22 @@ class TestRejectionsNameTheirKey:
         assert self.run_main(capsys, argv) == (code, f"{line}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["report", "fit"])
+    @pytest.mark.parametrize("max_steps", [10 ** 15, 10 ** 30])
+    def test_curve_too_long_for_memory_names_max_steps(self, tmp_path, monkeypatch,
+                                                       capsys, command, max_steps):
+        # every run absorbs at once, so only the curve's allocation is at stake
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "c.json", model="fixed", transmission_prob=0.0,
+                     runs=2, max_steps=max_steps, graph={"type": "cycle", "n": 5})
+        argv = [command, "--config", "c.json", "--out", "out"]
+        if command == "fit":
+            (tmp_path / "s.csv").write_text("value\n" + "0.5\n" * 8, encoding="utf-8")
+            argv += ["--series", "s.csv"]
+        line = f"error: max_steps: a curve of {max_steps + 1} steps does not fit in memory"
+        assert self.run_main(capsys, argv) == (1, f"{line}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_errors_name_a_graph_file_that_cannot_be_read(self, tmp_path,
                                                                 monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -55,6 +55,12 @@ class TestReferenceCurve:
         with pytest.raises(ValueError, match="non-decreasing"):
             ReferenceCurve("fixed", np.array([0.5, 0.2, 0.9]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # NaN fails every comparison, so the range and order checks miss it
+        with pytest.raises(ValueError, match="^reference curve must be finite$"):
+            ReferenceCurve("fixed", [0.0, bad, 1.0])
+
 
 class TestReferenceBuild:
     def test_packaged_config_shape(self, reference_config):
@@ -111,6 +117,17 @@ class TestFitSeries:
             assert (best.time_scale, best.time_offset, best.amplitude) == \
                 (1.0, 0.0, 1.0)
             assert not result.low_confidence
+
+    def test_coarse_lattice_tie_goes_to_the_first_point(self):
+        # on a constant curve every (time_scale, time_offset) pair ties, and
+        # no refinement step improves on them, so the fit keeps the lattice
+        # point met first: the smallest scale and the most negative offset
+        flat = tuple(ReferenceCurve(m, np.ones(12)) for m in ("fixed", "group", "global"))
+        result = fit_series(np.full(10, 0.625), flat)
+        assert result.best_model == "fixed"
+        for row in result.table:
+            assert (row.sse, row.time_scale, row.time_offset, row.amplitude) == \
+                (0.0, 0.25, -3.0, 0.625)
 
     def test_table_covers_models_in_order(self, refs):
         result = fit_series(refs[0].curve, refs)

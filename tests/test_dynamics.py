@@ -209,18 +209,19 @@ class TestRuleTable:
                                        fixed(0.3), fixed(1.0), GROUP],
                              ids=["q0", "q1e-17", "q0.05", "q0.3", "q1", "group"])
     def test_every_entry_is_the_reference_probability(self, tmp_path, model):
-        # table[row[u] + d] for every d up to u's in-degree, most of which
-        # runs seldom reach, is the p that kernel_reference writes out
+        # table[slot[u]], slot[u] = row[u] + d, for every d up to u's
+        # in-degree, most of which runs seldom reach, is the p that
+        # kernel_reference writes out
         for g in graphs_of_every_generator(tmp_path):
-            table, row = dynamics._rule_table(model, g.in_degrees)
             arcs = g.arcs
             for u in range(g.n):
                 neigh = arcs[arcs[:, 1] == u, 0]
                 for d in range(neigh.size + 1):
                     times = np.full(g.n, -1)
                     times[neigh[:d]] = 0
+                    table, row, slot = dynamics._rule_state(model, g, times >= 0)
                     expected = infection_probability(model, g, Trajectory(g.n, times, 0), u)
-                    assert table[row[u] + d] == expected, (g, u, d)
+                    assert slot[u] == row[u] + d and table[slot[u]] == expected, (g, u, d)
 
 
 class TestStep:
@@ -255,6 +256,29 @@ class TestStep:
         s = Trajectory.from_seeds(3, [0])
         with pytest.raises(ValueError, match="scheme"):
             step(GROUP, g, s, "waves", rng_for(41))
+
+    def test_unknown_scheme_gives_the_configs_message(self):
+        # one owner for the scheme rule: step, run and SimConfig say the same
+        g, message = directed_cycle(3), "^scheme: unknown value 'waves'$"
+        with pytest.raises(ValueError, match=message):
+            step(GROUP, g, Trajectory.from_seeds(3, [0]), "waves", rng_for(41))
+        with pytest.raises(ValueError, match=message):
+            run(GROUP, g, SeedSet((0,)), "waves", 10, rng_for(41))
+        with pytest.raises(ValueError, match=message):
+            SimConfig(graph=GraphSpec("directed_cycle", n=3), model=GROUP,
+                      master_seed=1, scheme="waves")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("model", [fixed(0.3), GROUP, GLOBAL],
+                             ids=["fixed", "group", "global"])
+    def test_trajectory_of_another_graph_rejected_before_any_draw(self, model,
+                                                                  scheme):
+        rng = rng_for(42)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            step(model, directed_cycle(5), Trajectory.from_seeds(10, [0]), scheme, rng)
+        assert str(info.value) == "trajectory n (10) does not match graph n (5)"
+        assert rng.bit_generator.state == state
 
     def test_global_two_node_geometric(self):
         # susceptible node infects with p = 1/2 each sync step; the

@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 
 from diffusim import experiment
-from diffusim.dynamics import GLOBAL, GROUP, SCHEMES, ModelKind, fixed
+from diffusim.dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, SCHEMES,
+                               ModelKind, fixed)
 from diffusim.graph import GraphSpec, directed_cycle, save_edge_list
+from diffusim.metrics import fraction_threshold
 from diffusim.experiment import (SimConfig, SweepCell, config_from_dict,
                                  config_to_dict,
                                  config_fingerprint, derive_graph_rng,
                                  derive_run_rng, run_ensemble, set_dotted,
                                  sweep, worker_count)
 
-from markov_oracle import global_count_distribution, global_count_dp
+from markov_oracle import (async_global_time_to, global_count_distribution,
+                           global_count_dp)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -546,6 +549,30 @@ class TestGroupedSweep:
                          model=GLOBAL, master_seed=5, runs=3, metrics=(0.5,))
         cells = sweep(base, [("graph.beta", [0.1, 0.3]), (key, values)])
         assert cells == [self.alone(base, cell.assignments) for cell in cells]
+
+
+class TestAsyncGlobalOracle:
+    def test_one_wait_is_geometric(self):
+        # from 1 of 2 infected, p_1 = 1/4: mean 4, variance (1 - p) / p^2 = 12
+        assert async_global_time_to(2, 1, 2) == (4.0, 12.0)
+        assert async_global_time_to(5, 3, 3) == (0.0, 0.0)
+
+    def test_rejects_bad_counts(self):
+        for i0, k in [(0, 3), (3, 2), (1, 6)]:
+            with pytest.raises(ValueError):
+                async_global_time_to(5, i0, k)
+
+    def test_ensemble_means_match_the_exact_waits(self):
+        n, runs = 60, 400
+        cfg = SimConfig(graph=GraphSpec("directed_cycle", n=n), model=GLOBAL,
+                        scheme=ASYNC_SINGLE_NODE, master_seed=61, runs=runs,
+                        metrics=(0.5, 1.0))
+        stats = dict(run_ensemble(cfg).stats)
+        for f, label in [(0.5, "time_to_0.5"), (1.0, "time_to_1")]:
+            mean, var = async_global_time_to(n, 1, fraction_threshold(n, f))
+            got = stats[label]
+            assert got.censored_count == 0 and got.runs == runs
+            assert abs(got.mean - mean) <= 3 * np.sqrt(var / runs), (label, got.mean, mean)
 
 
 class TestGlobalCountOracle:
