@@ -64,11 +64,7 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return str(value)  # Python scalars only: str of a float is its shortest repr
 
 
 @contextlib.contextmanager

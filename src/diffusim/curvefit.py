@@ -56,7 +56,7 @@ def normalize_series(values) -> np.ndarray:
 @dataclass(frozen=True)
 class ReferenceCurve:
     """Ensemble-mean adoption curve for one model under a stated config:
-    finite, at least 2 points, within [0, 1] and non-decreasing."""
+    finite, 1-D with at least 2 points, within [0, 1] and non-decreasing."""
 
     model: str
     curve: np.ndarray
@@ -67,8 +67,8 @@ class ReferenceCurve:
         object.__setattr__(self, "curve", arr)
         if not np.all(np.isfinite(arr)):
             raise ValueError("reference curve must be finite")
-        if arr.size < 2:
-            raise ValueError("reference curve needs at least 2 points")
+        if arr.ndim != 1 or arr.size < 2:
+            raise ValueError("reference curve needs a 1-D array of at least 2 points")
         if arr.min() < 0.0 or arr.max() > 1.0 + 1e-12:
             raise ValueError("reference curve must stay within [0, 1]")
         if np.any(np.diff(arr) < -1e-12):
@@ -120,25 +120,24 @@ class FitResult:
     low_confidence: bool = False
 
 
-def _sse(obs: np.ndarray, curve: np.ndarray, a: float, b: float, c: float) -> float:
-    x = a * np.arange(obs.size) + b
-    y = np.interp(x, np.arange(curve.size), curve)  # clamps at the endpoints
-    diff = obs - c * y
-    return float(diff @ diff)
-
-
 def _fit_one(obs: np.ndarray, curve: np.ndarray) -> tuple:
     length = curve.size
+    t, grid = np.arange(obs.size), np.arange(length)
+
+    def _sse(a, b, c):  # np.sum, not BLAS: no CPU kernel or thread count moves it
+        diff = obs - c * np.interp(a * t + b, grid, curve)  # clamps at the endpoints
+        return float(np.sum(diff * diff))
+
     offsets = np.linspace(-length / 4.0, length / 4.0, OFFSET_POINTS)
     # x = [a, b, c]; each axis ascends, so a tie goes to the first lattice point
-    sse, *x = min((_sse(obs, curve, a, b, c), float(a), float(b), float(c))
+    sse, *x = min((_sse(a, b, c), float(a), float(b), float(c))
                   for a in TIME_SCALES for b in offsets for c in AMPLITUDES)
     steps = [x[0] / 2.0, length / 16.0, 0.125]
     for _ in range(3):
         for i, step in enumerate(steps):  # a, then b, then c
             for candidate in (x[i] - step, x[i] + step):
                 if i == 1 or candidate > 1e-9:  # a and c stay positive
-                    trial = _sse(obs, curve, *x[:i], candidate, *x[i + 1:])
+                    trial = _sse(*x[:i], candidate, *x[i + 1:])
                     if trial < sse:
                         sse, x[i] = trial, candidate
         steps = [step / 2.0 for step in steps]

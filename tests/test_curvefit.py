@@ -1,14 +1,22 @@
 """Series normalization, reference curves, and model classification."""
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import diffusim
 from diffusim.dynamics import GROUP
 from diffusim.experiment import config_to_dict, config_from_dict
 from diffusim.curvefit import (ReferenceCurve, build_reference_curves,
                                fit_series, load_reference_config,
                                normalize_series)
+from test_golden import _fit_csv
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +68,12 @@ class TestReferenceCurve:
         # NaN fails every comparison, so the range and order checks miss it
         with pytest.raises(ValueError, match="^reference curve must be finite$"):
             ReferenceCurve("fixed", [0.0, bad, 1.0])
+
+    def test_two_dimensional_curve_rejected(self):
+        # each row would pass the range and order checks; np.interp needs 1-D
+        with pytest.raises(ValueError, match="^reference curve needs a 1-D array "
+                                             "of at least 2 points$"):
+            ReferenceCurve("fixed", [[0.0, 0.5], [0.5, 1.0]])
 
 
 class TestReferenceBuild:
@@ -189,3 +203,36 @@ class TestFitSeries:
         duplicated = (refs[0], refs[0], refs[1])
         with pytest.raises(ValueError, match="one reference curve per model"):
             fit_series(np.linspace(0, 1, 10), duplicated)
+
+
+def _has_avx2() -> bool:
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text(encoding="utf-8").split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or not _has_avx2(),
+                    reason="forcing OpenBLAS's Haswell kernel needs x86-64 with AVX2")
+@pytest.mark.parametrize("setting", ["OPENBLAS_CORETYPE=Haswell",
+                                     "OPENBLAS_CORETYPE=Zen",
+                                     "OPENBLAS_NUM_THREADS=1"])
+def test_fit_csv_ignores_the_blas_kernel(setting, tmp_path):
+    """The golden fit.csv inputs, fitted in a process whose OpenBLAS runs
+    another CPU kernel or thread count, give the same bytes as here."""
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    expected = _fit_csv(here).read_bytes()
+    key, _, value = setting.partition("=")
+    env = dict(os.environ, **{key: value})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent),
+         str(Path(diffusim.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, pathlib, test_golden; test_golden._fit_csv(pathlib.Path(sys.argv[1]))"
+    proc = subprocess.run([sys.executable, "-c", code, str(there)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (there / "o" / "fit.csv").read_bytes() == expected

@@ -13,7 +13,7 @@ import pytest
 from diffusim import experiment
 from diffusim.dynamics import (ASYNC_SINGLE_NODE, GLOBAL, GROUP, SCHEMES,
                                ModelKind, fixed)
-from diffusim.graph import GraphSpec, directed_cycle, save_edge_list
+from diffusim.graph import Graph, GraphSpec, build_graph, directed_cycle, save_edge_list
 from diffusim.metrics import fraction_threshold
 from diffusim.experiment import (SimConfig, SweepCell, config_from_dict,
                                  config_to_dict,
@@ -22,7 +22,7 @@ from diffusim.experiment import (SimConfig, SweepCell, config_from_dict,
                                  sweep, worker_count)
 
 from markov_oracle import (async_global_time_to, global_count_distribution,
-                           global_count_dp)
+                           global_count_dp, local_time_to_all)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -573,6 +573,49 @@ class TestAsyncGlobalOracle:
             got = stats[label]
             assert got.censored_count == 0 and got.runs == runs
             assert abs(got.mean - mean) <= 3 * np.sqrt(var / runs), (label, got.mean, mean)
+
+
+# strongly connected, and in-degree differs from out-degree at every node:
+# (in, out) = (1, 4), (1, 2), (2, 1), (3, 1), (2, 1)
+HAND_ARCS = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (0, 3), (0, 4), (1, 3)]
+
+
+class TestLocalRuleOracle:
+    def test_cycle_waits_are_geometric(self):
+        # on a directed cycle each of the n - 1 waits has the same p
+        g = directed_cycle(5)
+        for model, scheme, p in [(fixed(0.3), "synchronous", 0.3),
+                                 (fixed(0.3), ASYNC_SINGLE_NODE, 0.3 / 5),
+                                 (GROUP, ASYNC_SINGLE_NODE, 1 / 5)]:
+            mean, var = local_time_to_all(g, model, scheme)
+            assert mean == pytest.approx(4 / p)
+            assert var == pytest.approx(4 * (1 - p) / p ** 2)
+        assert local_time_to_all(g, GROUP, "synchronous") == (4.0, 0.0)
+
+    def test_rejects_a_set_that_never_grows(self):
+        with pytest.raises(ValueError, match="never grow"):
+            local_time_to_all(Graph(3, [(0, 1), (1, 0), (2, 0)]), GROUP,
+                              "synchronous")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("model", [fixed(0.3), GROUP], ids=["fixed", "group"])
+    @pytest.mark.parametrize("graph", ["directed_cycle", "complete", "hand"])
+    def test_ensemble_mean_matches_the_exact_chain(self, graph, model, scheme,
+                                                   tmp_path):
+        if graph == "hand":
+            path = tmp_path / "hand.edges"
+            with path.open("w", encoding="utf-8") as handle:
+                save_edge_list(Graph(5, HAND_ARCS), handle)
+            spec = GraphSpec("file", path=str(path))
+        else:
+            spec = GraphSpec(graph, n=5 if graph == "directed_cycle" else 4)
+        runs = 400
+        cfg = SimConfig(graph=spec, model=model, scheme=scheme, master_seed=62,
+                        runs=runs, metrics=(1.0,))
+        got = dict(run_ensemble(cfg).stats)["time_to_1"]
+        mean, var = local_time_to_all(build_graph(spec, None), model, scheme)
+        assert got.censored_count == 0 and got.runs == runs
+        assert abs(got.mean - mean) <= 3 * np.sqrt(var / runs), (got.mean, mean)
 
 
 class TestGlobalCountOracle:

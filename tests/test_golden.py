@@ -132,7 +132,7 @@ RUN_DIGESTS = {
 }
 FILE_DIGESTS = {
     "curve.csv": "d071d003ee4354c462f9459ae9e9aa458462a624600b3287f0d99844e63b9a82",
-    "fit.csv": "71ea454b18a2c0a8b3cd46acf44bf893d942c83d1a3960e33a9140514e1f9acc",
+    "fit.csv": "9a0717add53a5da72df5fdc9d9b009128c7a8042a3df7403e2985a573ab274f8",
     "sweep_summary.csv": "c7da4bc8ee34002ab2293cd86474367db1da8e891d47861ffaebf48aed7ccaa4",
 }
 
