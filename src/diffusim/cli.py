@@ -214,7 +214,9 @@ def cmd_sweep(args) -> int:
     rows = []
     error_rows = []
     for cell in cells:
-        values = [value for _, value in cell.assignments]
+        values = [json.dumps(v, separators=(",", ":"))  # null and non-scalars as JSON
+                  if v is None or isinstance(v, (dict, list)) else v
+                  for _, v in cell.assignments]
         if cell.error is not None:
             error_rows.append(values + [cell.error])
             continue

@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .dynamics import GLOBAL, GROUP, MODEL_KINDS
-from .experiment import SimConfig, config_from_dict, run_ensemble
+from .experiment import SimConfig, _execute, config_from_dict
 
 # Deterministic starting lattice for the refinement: the time offsets are
 # OFFSET_POINTS evenly spaced values spanning +-L/4 of the reference curve
@@ -83,22 +83,22 @@ def load_reference_config() -> SimConfig:
 
 
 def build_reference_curves(config: SimConfig, workers: int = 1) -> tuple:
-    """One mean adoption curve per model, all else equal.
-
-    The supplied config must use the fixed model; its transmission
-    probability parameterizes the fixed variant and the group/global
-    variants reuse every other field.  Deterministic given master_seed.
+    """One mean adoption curve per model, all else equal, deterministic given
+    master_seed.  The config must use the fixed model, which pins the
+    transmission probability; group and global reuse every other field.  The
+    three ensembles are one call of experiment's executor, so each run's graph
+    is built once for all three.  Raises the first failure in model order.
     """
     if config.model.kind != "fixed":
         raise ValueError("reference config must use the fixed model so the "
                          "transmission probability is pinned")
-    curves = []
-    for model in (config.model, GROUP, GLOBAL):
-        result = run_ensemble(replace(config, model=model), workers=workers,
-                              collect_curves=True)
-        curves.append(ReferenceCurve(model=model.kind,
-                                     curve=result.curve.mean_fraction))
-    return tuple(curves)
+    models = (config.model, GROUP, GLOBAL)
+    done = dict(_execute([replace(config, model=m) for m in models], workers, True))
+    for i in range(len(models)):  # read once the executor, and any pool, is done
+        if isinstance(done[i], Exception):
+            raise done[i]
+    return tuple(ReferenceCurve(model=m.kind, curve=done[i].curve.mean_fraction)
+                 for i, m in enumerate(models))
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,18 @@ the substrate is regenerated for that run), then seed selection, then the
 dynamics draws.  Runs therefore commute: records are a pure function of
 (config, run_index), whatever the execution order or worker count.
 
-Execution: ensembles and sweeps share one executor.  Configs with the
-same dynamics key give the same ensemble, so it runs once and every one
-of them gets it.  A global run reads only n (its seeds and its rule see
-nothing else of the graph), so a global config's key is (n, scheme,
-seed_count, effective max_steps, master_seed, runs, metrics); a ``file``
-spec keeps the spec itself in place of n, since n, and any load error,
-come from the file.  Any other config is its own key.  Configs that share
-a graph key (graph spec, master_seed, regenerate flag) draw the identical
-graph for every run, so they run together, run-major: run i's graph is
-built once and every config with at least i+1 runs uses it.  A sweep uses
-one process pool for all its cells.  Since records depend only on
-(config, run_index), none of this changes a result.
+Execution: ensembles, sweeps and fit's reference curves share one executor.
+Configs with the same dynamics key give the same ensemble, so it runs once
+and every one of them gets it.  A global run reads only n (its seeds and
+its rule see nothing else of the graph), so a global config's key is (n,
+scheme, seed_count, effective max_steps, master_seed, runs, metrics); a
+``file`` spec keeps the spec itself in place of n, since n, and any load
+error, come from the file.  Any other config is its own key.  Configs that
+share a graph key (graph spec, master_seed, regenerate flag) draw the
+identical graph for every run, so they run together, run-major: run i's
+graph is built once and every config with at least i+1 runs uses it.  One
+call, a sweep's cells or the three models of a fit, uses one process pool.
+Since records depend only on (config, run_index), none of this changes a result.
 
 Ensemble statistics exclude censored runs from mean/std/min/max and tally
 them separately; the coefficient of variation is reported only for a

@@ -68,9 +68,10 @@ def async_global_time_to(n: int, i0: int, k: int) -> tuple:
     return float(np.sum(1.0 / p)), float(np.sum((1.0 - p) / p ** 2))
 
 
-def local_time_to_all(g, model, scheme: str) -> tuple:
+def local_time_to_all(g, model, scheme: str, seed_count: int = 1) -> tuple:
     """Exact mean and variance of ``time_to_1`` under the fixed or group
-    rule on a graph of n <= 6 nodes, from one seed node drawn uniformly.
+    rule on a graph of n <= 6 nodes, from ``seed_count`` seed nodes drawn
+    as a uniform subset.
 
     The chain runs over infected sets S, with p_u(S) read off the rule's
     definition: 1 - (1 - q)^d for fixed(q), d / in-degree for group, where
@@ -81,8 +82,9 @@ def local_time_to_all(g, model, scheme: str) -> tuple:
     can never grow, short of n, is rejected: its time_to_1 is censored.
     """
     n = g.n
-    if not 1 <= n <= 6 or model.kind == "global":
-        raise ValueError("need n <= 6 and the fixed or group rule")
+    if not 1 <= n <= 6 or model.kind == "global" or not 1 <= seed_count <= n:
+        raise ValueError("need n <= 6, the fixed or group rule, "
+                         "and 1 <= seed_count <= n")
     in_mask = [0] * n
     for v, u in g.arcs.tolist():
         in_mask[u] |= 1 << v
@@ -115,5 +117,6 @@ def local_time_to_all(g, model, scheme: str) -> tuple:
         m1[s] = (1.0 + sum(q * m1[t] for t, q in moves.items())) / go
         m2[s] = (1.0 + 2.0 * stay * m1[s]
                  + sum(q * (2.0 * m1[t] + m2[t]) for t, q in moves.items())) / go
-    mean = sum(m1[1 << v] for v in range(n)) / n
-    return mean, sum(m2[1 << v] for v in range(n)) / n - mean ** 2
+    starts = [s for s in m1 if bin(s).count("1") == seed_count]
+    mean = sum(m1[s] for s in starts) / len(starts)
+    return mean, sum(m2[s] for s in starts) / len(starts) - mean ** 2

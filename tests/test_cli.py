@@ -471,8 +471,26 @@ class TestSweepCommand:
         assert "2 sweep cell(s) failed" in capsys.readouterr().err
         assert [row[0] for row in read_rows(out / "sweep_summary.csv")[1:]] == ["2"]
         assert read_rows(out / "sweep_errors.csv")[1:] == [
-            ["", "runs: expected an integer, got None"],
+            ["null", "runs: expected an integer, got None"],
             ["2.5", "runs: expected an integer, got 2.5"]]
+
+    def test_object_and_list_axis_values_are_compact_json(self, tmp_path):
+        path = self.write_sweep(tmp_path, axes={
+            "graph": [{"type": "cycle", "n": 5}, {"type": "complete", "n": 4}],
+            "metrics": [[0.5], [0.5, 1.0]], "max_steps": [None, 50]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        rows = read_rows(out / "sweep_summary.csv")
+        assert [row[:4] for row in rows[1:4]] == [
+            ['{"type":"cycle","n":5}', "[0.5]", "null", "time_to_0.5"],
+            ['{"type":"cycle","n":5}', "[0.5]", "50", "time_to_0.5"],
+            ['{"type":"cycle","n":5}', "[0.5,1.0]", "null", "time_to_0.5"]]
+        assert {tuple(row[:2]) for row in rows[1:]} == {
+            (graph, metrics) for graph in ('{"type":"cycle","n":5}',
+                                           '{"type":"complete","n":4}')
+            for metrics in ("[0.5]", "[0.5,1.0]")}
+        text = (out / "sweep_summary.csv").read_text(encoding="utf-8")
+        assert '"{""type"":""cycle"",""n"":5}"' in text  # csv quoting, not Python's str
 
     def test_malformed_sweep_documents(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,14 +5,16 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diffusim
-from diffusim.dynamics import GROUP
-from diffusim.experiment import config_to_dict, config_from_dict
+from diffusim.dynamics import GLOBAL, GROUP
+from diffusim.experiment import config_to_dict, config_from_dict, run_ensemble
+from diffusim.graph import directed_cycle, save_edge_list
 from diffusim.curvefit import (ReferenceCurve, build_reference_curves,
                                fit_series, load_reference_config,
                                normalize_series)
@@ -108,6 +110,36 @@ class TestReferenceBuild:
         assert padded_gap(by["fixed"], by["group"]) >= 0.4
         assert padded_gap(by["fixed"], by["global"]) >= 0.35
         assert padded_gap(by["group"], by["global"]) >= 0.15
+
+    def test_each_run_builds_one_graph_for_all_three_models(self, reference_config,
+                                                            built_graphs):
+        build_reference_curves(reference_config)
+        assert len(built_graphs) == reference_config.runs == 30
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_curves_match_three_separate_ensembles(self, reference_config, workers):
+        refs = build_reference_curves(reference_config, workers=workers)
+        for ref, model in zip(refs, (reference_config.model, GROUP, GLOBAL), strict=True):
+            alone = run_ensemble(replace(reference_config, model=model),
+                                 workers=workers, collect_curves=True)
+            assert ref.model == model.kind
+            assert ref.curve.tobytes() == alone.curve.mean_fraction.tobytes()
+
+    def test_file_graph_smaller_than_seed_count_fails_at_run_time(
+            self, reference_config, tmp_path):
+        path = tmp_path / "three.edges"
+        with path.open("w", encoding="utf-8") as handle:
+            save_edge_list(directed_cycle(3), handle)
+        doc = {**config_to_dict(reference_config),
+               "graph": {"type": "file", "path": str(path)}}
+        config = config_from_dict(doc)  # n is unknown until the file is read
+        assert config.seed_count == 8
+        with pytest.raises(ValueError) as alone:
+            run_ensemble(config, collect_curves=True)
+        with pytest.raises(ValueError) as raised:
+            build_reference_curves(config)
+        assert str(raised.value) == str(alone.value) == \
+            "seed_count: must not exceed graph n (3)"
 
     def test_non_fixed_config_rejected(self, reference_config):
         bad = config_from_dict({**config_to_dict(reference_config),

@@ -597,11 +597,18 @@ class TestLocalRuleOracle:
             local_time_to_all(Graph(3, [(0, 1), (1, 0), (2, 0)]), GROUP,
                               "synchronous")
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("model", [fixed(0.3), GROUP], ids=["fixed", "group"])
-    @pytest.mark.parametrize("graph", ["directed_cycle", "complete", "hand"])
-    def test_ensemble_mean_matches_the_exact_chain(self, graph, model, scheme,
-                                                   tmp_path):
+    def test_seed_count_averages_over_uniform_subsets(self):
+        # two seeds on a 5-cycle under fixed(1.0): of the 10 pairs, the 5
+        # adjacent ones finish in 3 steps and the other 5 in 2
+        g = directed_cycle(5)
+        assert local_time_to_all(g, fixed(1.0), "synchronous", 2) == (2.5, 0.25)
+        assert local_time_to_all(g, fixed(1.0), "synchronous", 5) == (0.0, 0.0)
+        for count in (0, 6):
+            with pytest.raises(ValueError, match="seed_count"):
+                local_time_to_all(g, GROUP, "synchronous", count)
+
+    @staticmethod
+    def gate(graph, model, scheme, tmp_path, seed_count=1, max_steps=None):
         if graph == "hand":
             path = tmp_path / "hand.edges"
             with path.open("w", encoding="utf-8") as handle:
@@ -611,11 +618,34 @@ class TestLocalRuleOracle:
             spec = GraphSpec(graph, n=5 if graph == "directed_cycle" else 4)
         runs = 400
         cfg = SimConfig(graph=spec, model=model, scheme=scheme, master_seed=62,
-                        runs=runs, metrics=(1.0,))
+                        runs=runs, metrics=(1.0,), seed_count=seed_count,
+                        max_steps=max_steps)
         got = dict(run_ensemble(cfg).stats)["time_to_1"]
-        mean, var = local_time_to_all(build_graph(spec, None), model, scheme)
+        mean, var = local_time_to_all(build_graph(spec, None), model, scheme,
+                                      seed_count)
         assert got.censored_count == 0 and got.runs == runs
-        assert abs(got.mean - mean) <= 3 * np.sqrt(var / runs), (got.mean, mean)
+        if var == 0.0:  # one outcome: every run must hit it
+            assert got.min == got.max == mean, (got.min, got.max, mean)
+        else:
+            assert abs(got.mean - mean) <= 3 * np.sqrt(var / runs), (got.mean, mean)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("model", [fixed(0.3), GROUP], ids=["fixed", "group"])
+    @pytest.mark.parametrize("graph", ["directed_cycle", "complete", "hand"])
+    def test_ensemble_mean_matches_the_exact_chain(self, graph, model, scheme,
+                                                   tmp_path):
+        self.gate(graph, model, scheme, tmp_path)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("model,seed_count", [
+        (fixed(0.05), 1), (fixed(1.0), 1), (GROUP, 2)],
+        ids=["fixed0.05", "fixed1", "group-2-seeds"])
+    @pytest.mark.parametrize("graph", ["directed_cycle", "complete", "hand"])
+    def test_more_rules_and_seed_counts_match_the_exact_chain(
+            self, graph, model, seed_count, scheme, tmp_path):
+        # fixed(0.05) async on the cycle takes 400 steps on average, and the
+        # default cap of 200 n = 1000 steps would censor some runs
+        self.gate(graph, model, scheme, tmp_path, seed_count, max_steps=10 ** 5)
 
 
 class TestGlobalCountOracle:
