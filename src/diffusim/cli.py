@@ -29,6 +29,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -87,13 +88,30 @@ def atomic_open(path):
         raise
 
 
-def write_csv(path, header, rows) -> None:
-    """Atomic CSV write (see atomic_open)."""
+def write_csv(path, header, rows=(), blocks=()) -> None:
+    """Atomic CSV write (see atomic_open): the header, the ``rows`` (lists
+    of cells), then the ``blocks`` (whole rows already in CSV text)."""
     with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+        handle.writelines(blocks)
+
+
+def _curve_blocks(mean: np.ndarray, std: np.ndarray):
+    """The rows ``t, mean[t], std[t]`` as ``write_csv`` would format them,
+    in blocks of 4,096.  Each run of rows whose (mean, std) bits repeat builds
+    its ``,mean,std`` tail once; bits, so 0.0 and -0.0 are never merged."""
+    for lo in range(0, mean.size, 4096):
+        m, s = mean[lo:lo + 4096], std[lo:lo + 4096]
+        mb, sb = m.view(np.int64), s.view(np.int64)
+        starts = np.flatnonzero(np.r_[True, (mb[1:] != mb[:-1]) | (sb[1:] != sb[:-1])])
+        tails = [f",{_cell(a)},{_cell(b)}\n"
+                 for a, b in zip(m[starts].tolist(), s[starts].tolist())]
+        counts = np.diff(starts, append=m.size).tolist()
+        yield "".join(map(str.__add__, map(str, range(lo, lo + m.size)),
+                          chain.from_iterable(map(repeat, tails, counts))))
 
 
 # -- config loading ------------------------------------------------------------
@@ -236,21 +254,25 @@ def read_series_csv(path: str) -> np.ndarray:
     rise by exactly 1 per row, each ASCII decimal (``[+-]?[0-9]+``).
     Errors name the line; ``fit`` names the file.
     """
-    reader = csv.reader(Path(path).read_text(encoding="utf-8").splitlines())
-    try:
-        rows = [(reader.line_num, row) for row in reader
-                if any(col.strip() for col in row)]
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    reader = csv.reader(lines)
+    try:  # a read to the end, keeping nothing: a csv.Error anywhere comes first
+        for _ in reader:
+            pass
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if not rows:
+    reader = csv.reader(lines)
+    rows = ((reader.line_num, row) for row in reader if any(col.strip() for col in row))
+    _, first = next(rows, (None, None))
+    if first is None:
         raise ValueError("empty series file")
-    header = [col.strip().lower() for col in rows[0][1]]
+    header = [col.strip().lower() for col in first]
     column = {("t", "value"): 1, ("value",): 0}.get(tuple(header))
     if column is None:
-        raise ValueError(f"header must be 't,value' or 'value', got {rows[0][1]!r}")
+        raise ValueError(f"header must be 't,value' or 'value', got {first!r}")
     values = []
     last_t = None
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} column(s)")
         if column:
@@ -312,12 +334,9 @@ def cmd_report(args) -> int:
     equivalent to having recorded it the first time.
     """
     config = parse_config(args.config, args.set)
-    result = run_ensemble(config, workers=worker_count(), collect_curves=True)
-    curve = result.curve
-    rows = ([t, m, s] for t, (m, s) in
-            enumerate(zip(curve.mean_fraction.tolist(),
-                          curve.std_fraction.tolist())))
-    write_csv(_prepare_outdir(args.out) / "curve.csv", CURVE_COLUMNS, rows)
+    curve = run_ensemble(config, workers=worker_count(), collect_curves=True).curve
+    write_csv(_prepare_outdir(args.out) / "curve.csv", CURVE_COLUMNS,
+              blocks=_curve_blocks(curve.mean_fraction, curve.std_fraction))
     return 0
 
 

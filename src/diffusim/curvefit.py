@@ -122,7 +122,7 @@ class FitResult:
 
 def _fit_one(obs: np.ndarray, curve: np.ndarray) -> tuple:
     length = curve.size
-    t, grid = np.arange(obs.size), np.arange(length)
+    t, grid = np.arange(obs.size), np.arange(length, dtype=np.float64)  # cast once
 
     def _sse(a, b, c):  # np.sum, not BLAS: no CPU kernel or thread count moves it
         diff = obs - c * np.interp(a * t + b, grid, curve)  # clamps at the endpoints

@@ -35,7 +35,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -380,6 +379,7 @@ def _execute(configs, workers: int, collect_curves: bool = False):
     with contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # serial runs skip it
             pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
             mapper = stack.enter_context(pool).map
         parts = mapper(_run_group_chunk,
@@ -433,21 +433,27 @@ def _accumulate_curve(histories, n: int) -> CurveStats:
     sums are difference arrays over the longest run's horizon: the i-th
     infection adds 1 to the count and 2i - 1 to its square, and a run that
     ended earlier keeps its final count.  Integer sums are associative, so
-    any processing order gives identical bytes.
+    any processing order gives identical bytes.  The two sum arrays then
+    become the mean and std in place, each int64 its float64 quotient.
     """
     horizon = max(steps for _, steps in histories) + 1
     try:
-        sums, sumsq = np.zeros((2, horizon), dtype=np.int64)
+        sums, sumsq = np.zeros(horizon, dtype=np.int64), np.zeros(horizon, dtype=np.int64)
     except (MemoryError, ValueError):  # ValueError: "Maximum allowed dimension exceeded"
         raise ValueError(f"max_steps: a curve of {horizon} steps does not fit "
                          "in memory") from None
     for times, _ in histories:
         np.add.at(sums, times, 1)
         np.add.at(sumsq, times, 2 * np.arange(1, times.size + 1, dtype=np.int64) - 1)
-    mean_counts = np.cumsum(sums) / len(histories)
-    var = np.cumsum(sumsq) / len(histories) - mean_counts * mean_counts
-    std_counts = np.sqrt(np.clip(var, 0.0, None))
-    return CurveStats(mean_fraction=mean_counts / n, std_fraction=std_counts / n)
+    mean, var = sums.view(np.float64), sumsq.view(np.float64)
+    for total, quotient in ((sums, mean), (sumsq, var)):
+        np.divide(np.cumsum(total, out=total), len(histories), out=quotient)
+    var -= mean * mean
+    np.clip(var, 0.0, None, out=var)
+    np.sqrt(var, out=var)
+    mean /= n
+    var /= n
+    return CurveStats(mean_fraction=mean, std_fraction=var)
 
 
 # -- sweeps -------------------------------------------------------------------

@@ -18,6 +18,7 @@ import inspect
 import io
 import numbers
 import re
+from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -328,9 +329,8 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
     if m0 is None:
         m0 = m_attach
 
-    edges: list[tuple[int, int]] = [(a, b) for a in range(m0) for b in range(a + 1, m0)]
-    # one entry per degree endpoint; uniform picks from it are degree-weighted
-    endpoints: list[int] = [v for e in edges for v in e]
+    # each edge's two endpoints: the edge list and the degree-weighted pick pool
+    endpoints = array("q", [x for a in range(m0) for b in range(a + 1, m0) for x in (a, b)])
 
     for v in range(m0, n):
         targets: set[int] = set()
@@ -345,10 +345,9 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
                 t = next(x for x in range(v) if x not in targets)
             targets.add(t)
         for t in sorted(targets):
-            edges.append((t, v))
             endpoints.extend((t, v))
 
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.frombuffer(endpoints, dtype=np.int64).reshape(-1, 2)
     return Graph(n, np.concatenate([pairs, pairs[:, ::-1]]))
 
 

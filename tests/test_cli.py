@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -593,6 +594,26 @@ class TestSeriesInput:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("head", ["week,count\n0,1\n", "t,value\n0,spam\n"])
+    def test_a_csv_error_after_a_bad_line_wins(self, tmp_path, head):
+        path = tmp_path / "s.csv"
+        path.write_text(head + "1" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 3: field larger than field limit"):
+            read_series_csv(path)
+
+    def test_of_two_bad_rows_the_first_is_named(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n0,1\n1,spam\n2,eggs\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 3: not a number: 'spam'$"):
+            read_series_csv(path)
+
+    def test_a_header_and_blank_lines_have_no_rows(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n\n , \n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^series has a header but no rows$"):
+            read_series_csv(path)
+
+
 class TestFitCommand:
     def series_from_curve(self, tmp_path, model="global"):
         """A noiseless series generated by one of the reference models."""
@@ -702,6 +723,36 @@ class TestReportCommand:
         assert [row[0] for row in rows[1:3]] == ["0", "1"]
         assert float(rows[1][1]) == result.curve.mean_fraction[0]
         assert rows[1][1] == repr(float(result.curve.mean_fraction[0]))
+
+
+    @staticmethod
+    def curve(name):
+        """(mean, std) of a curve shaped to test ``_curve_blocks``."""
+        rng = np.random.default_rng(5)
+        if name == "long runs":  # the two columns change at different rows
+            return np.repeat(rng.random(60), 150), np.repeat(rng.random(90), 100)
+        if name == "no repeats":
+            return (rng.random(5000) * 10.0 ** rng.integers(-20, 5, 5000),
+                    rng.random(5000))
+        if name == "a run across a block boundary":  # rows 4000-4199
+            steps = np.r_[np.linspace(0.0, 0.5, 4000), np.full(200, 0.5 + 1 / 3),
+                          np.linspace(0.9, 1.0, 100)]
+            return steps, steps / 7
+        return (np.array([0.0, -0.0, -0.0, 0.0, 0.0, 0.25]),  # signed zeros
+                np.array([-0.0, -0.0, 0.0, 0.0, -0.0, 0.0]))
+
+    @pytest.mark.parametrize("name", ["long runs", "no repeats",
+                                      "a run across a block boundary", "signed zeros"])
+    def test_grouped_blocks_write_the_csv_writer_bytes(self, tmp_path, name):
+        mean, std = self.curve(name)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(cli.CURVE_COLUMNS)
+        for t, (m, s) in enumerate(zip(mean.tolist(), std.tolist())):
+            writer.writerow([cli._cell(t), cli._cell(m), cli._cell(s)])
+        cli.write_csv(tmp_path / "curve.csv", cli.CURVE_COLUMNS,
+                      blocks=cli._curve_blocks(mean, std))
+        assert (tmp_path / "curve.csv").read_bytes() == expected.getvalue().encode()
 
 
 class TestAtomicOpen:

@@ -1,6 +1,7 @@
 """Stream derivation, ensembles, sweeps, and the exact count oracle."""
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import re
 import tracemalloc
@@ -347,6 +348,48 @@ class TestRunEnsemble:
             assert peak < 1_000_000
             assert [r.steps_executed for r in result.records] == [2_000_000] * 3
 
+    @staticmethod
+    def sums_then_quotients(histories, n):
+        """The curve as the expression the package used before it turned
+        the sum rows into mean and std in place."""
+        horizon = max(steps for _, steps in histories) + 1
+        sums, sumsq = np.zeros((2, horizon), dtype=np.int64)
+        for times, _ in histories:
+            np.add.at(sums, times, 1)
+            np.add.at(sumsq, times, 2 * np.arange(1, times.size + 1, dtype=np.int64) - 1)
+        mean_counts = np.cumsum(sums) / len(histories)
+        var = np.cumsum(sumsq) / len(histories) - mean_counts * mean_counts
+        std_counts = np.sqrt(np.clip(var, 0.0, None))
+        return mean_counts / n, std_counts / n
+
+    @pytest.mark.parametrize("runs", [1, 2, 5])
+    def test_in_place_curve_is_bit_equal_to_the_sums_expression(self, runs):
+        rng = np.random.default_rng(runs)
+        for _ in range(60):
+            n = int(rng.integers(1, 60))
+            histories = []
+            for _ in range(runs):  # of mixed lengths, some infecting no one
+                steps = int(rng.integers(0, 400))
+                size = int(rng.integers(0, n + 1))
+                histories.append((np.sort(rng.integers(0, steps + 1, size)), steps))
+            curve = experiment._accumulate_curve(histories, n)
+            mean, std = self.sums_then_quotients(histories, n)
+            assert curve.mean_fraction.tobytes() == mean.tobytes()
+            assert curve.std_fraction.tobytes() == std.tobytes()
+
+    def test_curve_holds_under_40_bytes_per_step(self):
+        horizon = 400_000
+        rng = np.random.default_rng(4)
+        histories = [(np.sort(rng.integers(0, horizon, 1000)), horizon - 1)
+                     for _ in range(2)]
+        tracemalloc.start()
+        try:
+            experiment._accumulate_curve(histories, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * horizon  # the sums expression peaks at 56 bytes a step
+
     def test_curve_bytes_identical_across_workers(self):
         cfg = SimConfig(graph=GraphSpec("watts_strogatz", n=40, k=6, beta=0.1),
                         model=GROUP, master_seed=8, runs=9, metrics=(1.0,))
@@ -371,7 +414,7 @@ class TestRunEnsemble:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
         cfg = cycle_config(runs=2)
         assert run_ensemble(cfg, workers=64) == run_ensemble(cfg)
         assert requested == [2]

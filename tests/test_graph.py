@@ -14,6 +14,8 @@ from diffusim.graph import (ArcError, EdgeListError, Graph, GraphSpec,
                             directed_cycle, load_edge_list, save_edge_list,
                             watts_strogatz)
 
+import graph_reference
+
 
 def arc_set(g: Graph) -> set:
     return {(int(v), int(u)) for v, u in g.arcs}
@@ -249,6 +251,20 @@ class TestBarabasiAlbert:
         # than a uniform share; crude but seed-stable
         g = barabasi_albert(400, 1, np.random.default_rng(13))
         assert int(g.in_degrees.max()) >= 5 * int(np.median(g.in_degrees))
+
+    @pytest.mark.parametrize("n,m_attach,m0", [
+        (2, 1, 1), (50, 1, 1),  # the first pick falls back on an empty pool
+        (30, 2, None), (60, 3, None), (80, 3, 6), (25, 4, 4), (200, 2, 7),
+        (12, 5, 11)])
+    def test_matches_list_based_reference(self, n, m_attach, m0):
+        for seed in range(8):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            if seed % 2:  # enter with the cached 32-bit half set
+                assert fast.integers(7) == slow.integers(7)
+            assert barabasi_albert(n, m_attach, fast, m0) == \
+                graph_reference.barabasi_albert(n, m_attach, slow, m0)
+            assert fast.bit_generator.state == slow.bit_generator.state
+            assert fast.integers(2 ** 32) == slow.integers(2 ** 32)
 
     def test_parameter_validation(self):
         rng = rng_for(9)
