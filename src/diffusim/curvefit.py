@@ -62,7 +62,7 @@ class ReferenceCurve:
     curve: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.curve, dtype=np.float64)
+        arr = np.asarray(self.curve, dtype=np.float64).view()  # not the caller's array
         arr.setflags(write=False)
         object.__setattr__(self, "curve", arr)
         if not np.all(np.isfinite(arr)):
@@ -87,13 +87,14 @@ def build_reference_curves(config: SimConfig, workers: int = 1) -> tuple:
     master_seed.  The config must use the fixed model, which pins the
     transmission probability; group and global reuse every other field.  The
     three ensembles are one call of experiment's executor, so each run's graph
-    is built once for all three.  Raises the first failure in model order.
+    is built once for all three, and only their means are kept.  Raises the
+    first failure in model order.
     """
     if config.model.kind != "fixed":
         raise ValueError("reference config must use the fixed model so the "
                          "transmission probability is pinned")
     models = (config.model, GROUP, GLOBAL)
-    done = dict(_execute([replace(config, model=m) for m in models], workers, True))
+    done = dict(_execute([replace(config, model=m) for m in models], workers, True, std=False))
     for i in range(len(models)):  # read once the executor, and any pool, is done
         if isinstance(done[i], Exception):
             raise done[i]
@@ -122,10 +123,15 @@ class FitResult:
 
 def _fit_one(obs: np.ndarray, curve: np.ndarray) -> tuple:
     length = curve.size
-    t, grid = np.arange(obs.size), np.arange(length, dtype=np.float64)  # cast once
+    t = np.arange(obs.size)
 
     def _sse(a, b, c):  # np.sum, not BLAS: no CPU kernel or thread count moves it
-        diff = obs - c * np.interp(a * t + b, grid, curve)  # clamps at the endpoints
+        at = a * t + b
+        # only the steps `at` reaches: the whole curve's bytes (its ends still clamp)
+        # without a grid as long as the curve, or np.interp's copy of a frozen one
+        lo = min(max(int(at.min()), 0), length - 1)
+        hi = max(min(int(at.max()) + 2, length), lo + 1)
+        diff = obs - c * np.interp(at, np.arange(lo, hi, dtype=np.float64), curve[lo:hi])
         return float(np.sum(diff * diff))
 
     offsets = np.linspace(-length / 4.0, length / 4.0, OFFSET_POINTS)

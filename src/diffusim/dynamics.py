@@ -116,17 +116,19 @@ def check_seed_count(count: int, n: int | None) -> None:
 
 
 def seed_random(g: Graph, count: int, rng: np.random.Generator) -> SeedSet:
-    """Uniform sample of ``count`` distinct nodes (partial Fisher-Yates).
+    """Uniform sample of ``count`` distinct nodes (partial Fisher-Yates over a
+    dict of the positions a swap moved, so memory follows ``count``, not n).
 
     Consumes exactly ``count`` integer draws from the stream.
     """
     n = g.n
     check_seed_count(count, n)
-    pool = list(range(n))
+    moved, nodes = {}, []
     for i in range(count):
         j = i + int(rng.integers(n - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return SeedSet(tuple(pool[:count]))
+        nodes.append(moved.get(j, j))  # swap positions i and j; i is final
+        moved[j] = moved.get(i, i)
+    return SeedSet(tuple(nodes))
 
 
 def _rule_state(model: ModelKind, g: Graph, infected: np.ndarray) -> tuple:

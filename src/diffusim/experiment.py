@@ -228,7 +228,7 @@ class CurveStats:
     """
 
     mean_fraction: np.ndarray
-    std_fraction: np.ndarray
+    std_fraction: np.ndarray | None  # None when only the mean was asked for
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,9 @@ def _execute_run(config: SimConfig, g: Graph, run_index: int,
         final_infected=traj.final_infected,
         steps_executed=traj.steps_executed,
     )
-    history = (traj.sorted_times, traj.steps_executed) if collect_curves else None
+    steps = traj.steps_executed  # times kept in the smallest unsigned type that holds it
+    history = ((traj.sorted_times.astype(np.min_scalar_type(steps)), steps)
+               if collect_curves else None)
     return record, history, g.n
 
 
@@ -347,7 +349,7 @@ def _dynamics_key(config: SimConfig):
             config.runs, config.metrics)
 
 
-def _execute(configs, workers: int, collect_curves: bool = False):
+def _execute(configs, workers: int, collect_curves: bool = False, std: bool = True):
     """Run every distinct ensemble once, building each distinct graph once.
 
     The first config of each dynamics key runs for all that share it.
@@ -356,7 +358,7 @@ def _execute(configs, workers: int, collect_curves: bool = False):
     run in one process pool, never of more workers than chunks.  Yields
     (config position, EnsembleResult or the exception of its first failing
     run) as soon as a group's last chunk is in, so only one group's records
-    are held at a time.
+    are held at a time.  ``std=False`` leaves the curves' std out.
     """
     by_key = {}  # dynamics key -> positions of the configs that have it
     for position, config in enumerate(configs):
@@ -396,19 +398,19 @@ def _execute(configs, workers: int, collect_curves: bool = False):
                 for position in members:
                     items = outputs.pop(position)
                     result = (errors[position] if position in errors else
-                              _ensemble(configs[position], items, collect_curves))
+                              _ensemble(configs[position], items, collect_curves, std))
                     for sharer in sharers[position]:
                         yield sharer, result
 
 
-def _ensemble(config: SimConfig, outputs, collect_curves: bool) -> EnsembleResult:
+def _ensemble(config: SimConfig, outputs, collect_curves: bool, std: bool) -> EnsembleResult:
     records = tuple(item[0] for item in outputs)
     labels = [metric_label(m) for m in config.metrics]
     stats = tuple((label, _metric_stats(records, label)) for label in labels)
     n = outputs[0][2]
     curve = None
     if collect_curves:
-        curve = _accumulate_curve([item[1] for item in outputs], n=n)
+        curve = _accumulate_curve([item[1] for item in outputs], n=n, std=std)
     return EnsembleResult(records=records, stats=stats, curve=curve, n=n)
 
 
@@ -426,33 +428,36 @@ def _metric_stats(records, label: str) -> MetricStats:
                        censored_count=censored, runs=len(records))
 
 
-def _accumulate_curve(histories, n: int) -> CurveStats:
-    """Exact integer per-step sums and square sums of the infected count.
+def _accumulate_curve(histories, n: int, std: bool = True) -> CurveStats:
+    """Exact integer per-step sums (and square sums if ``std``) of the infected count.
 
-    Each history is a run's sorted infection times and its last step.  The
-    sums are difference arrays over the longest run's horizon: the i-th
-    infection adds 1 to the count and 2i - 1 to its square, and a run that
-    ended earlier keeps its final count.  Integer sums are associative, so
-    any processing order gives identical bytes.  The two sum arrays then
-    become the mean and std in place, each int64 its float64 quotient.
+    Each history is a run's sorted infection times, of any integer type, and
+    its last step.  The sums are difference arrays over the longest run's
+    horizon: the i-th infection adds 1 to the count and 2i - 1 to its square,
+    and a run that ended earlier keeps its final count.  Integer sums are
+    associative, so any processing order gives identical bytes.  The sum
+    arrays then become the mean and std in place, each int64 its float64 quotient.
     """
     horizon = max(steps for _, steps in histories) + 1
-    try:
-        sums, sumsq = np.zeros(horizon, dtype=np.int64), np.zeros(horizon, dtype=np.int64)
+    try:  # the counts' sums, then their squares'; apart, so a kept mean holds no std
+        sums = [np.zeros(horizon, dtype=np.int64) for _ in range(1 + std)]
     except (MemoryError, ValueError):  # ValueError: "Maximum allowed dimension exceeded"
         raise ValueError(f"max_steps: a curve of {horizon} steps does not fit "
                          "in memory") from None
     for times, _ in histories:
-        np.add.at(sums, times, 1)
-        np.add.at(sumsq, times, 2 * np.arange(1, times.size + 1, dtype=np.int64) - 1)
-    mean, var = sums.view(np.float64), sumsq.view(np.float64)
-    for total, quotient in ((sums, mean), (sumsq, var)):
+        np.add.at(sums[0], times, 1)
+        if std:
+            np.add.at(sums[1], times, 2 * np.arange(1, times.size + 1, dtype=np.int64) - 1)
+    quotients = [total.view(np.float64) for total in sums]
+    for total, quotient in zip(sums, quotients):
         np.divide(np.cumsum(total, out=total), len(histories), out=quotient)
-    var -= mean * mean
-    np.clip(var, 0.0, None, out=var)
-    np.sqrt(var, out=var)
+    mean, var = quotients[0], (quotients[1] if std else None)
+    if std:
+        var -= mean * mean
+        np.clip(var, 0.0, None, out=var)
+        np.sqrt(var, out=var)
+        var /= n
     mean /= n
-    var /= n
     return CurveStats(mean_fraction=mean, std_fraction=var)
 
 

@@ -1,5 +1,6 @@
-"""Reference copies of the two run kernels, kept as the stream contract,
-and the per-node infection probability written out from its definition.
+"""Reference copies of the two run kernels and the seed sampler, kept as the
+stream contract, and the per-node infection probability written out from
+its definition.
 
 ``run_synchronous`` and ``run_async`` are the straightforward kernels the
 package shipped before its kernels were tuned: one slice per newly
@@ -16,6 +17,17 @@ import numpy as np
 from diffusim.dynamics import ModelKind
 from diffusim.graph import Graph
 from diffusim.metrics import Trajectory
+
+
+def seed_random(n: int, count: int, rng: np.random.Generator) -> tuple:
+    """The list-based partial Fisher-Yates the package shipped before its
+    pool became a dict of moved positions: position i of 0..n-1 swaps with
+    i + integers(n - i), and the first ``count`` positions are the sample."""
+    pool = list(range(n))
+    for i in range(count):
+        j = i + int(rng.integers(n - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(pool[:count])
 
 
 def _fixed_prob_table(transmission_prob: float, max_degree: int) -> list:

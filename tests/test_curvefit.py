@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 import diffusim
-from diffusim.dynamics import GLOBAL, GROUP
+from diffusim import curvefit
+from diffusim.dynamics import GLOBAL, GROUP, fixed
 from diffusim.experiment import config_to_dict, config_from_dict, run_ensemble
 from diffusim.graph import directed_cycle, save_edge_list
 from diffusim.curvefit import (ReferenceCurve, build_reference_curves,
@@ -56,6 +58,12 @@ class TestReferenceCurve:
         ref = ReferenceCurve("fixed", np.linspace(0, 1, 5))
         with pytest.raises(ValueError):
             ref.curve[0] = 0.5
+
+    def test_the_callers_array_stays_writable(self):
+        values = np.linspace(0, 1, 5)
+        ref = ReferenceCurve("fixed", values)
+        values[0] = 0.5  # raised "assignment destination is read-only" once
+        assert values.flags.writeable and not ref.curve.flags.writeable
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -125,6 +133,34 @@ class TestReferenceBuild:
             assert ref.model == model.kind
             assert ref.curve.tobytes() == alone.curve.mean_fraction.tobytes()
 
+    @staticmethod
+    def traced_peak(config) -> tuple:
+        tracemalloc.start()
+        try:
+            refs = build_reference_curves(config)
+            return tracemalloc.get_traced_memory()[1], refs
+        finally:
+            tracemalloc.stop()
+
+    def test_reference_build_holds_under_9_bytes_per_run_node(self, reference_config, refs):
+        # ``refs`` built once before, so neither traced build makes one-off
+        # imports.  The difference of two builds leaves out the graph and kernels;
+        # each run keeps its infection times, here 2 bytes a node (int64 took
+        # 8, and the build then rose 12.5 bytes per run and node)
+        few, _ = self.traced_peak(replace(reference_config, runs=10))
+        many, _ = self.traced_peak(reference_config)
+        run_nodes = 3 * (reference_config.runs - 10) * reference_config.graph.n
+        assert many - few < 9 * run_nodes
+
+    def test_reference_build_holds_under_20_bytes_per_step(self, reference_config):
+        # fixed(0.0) spreads to no one, so its curve runs to the cap: one int64
+        # sum row that becomes the mean, and np.divide's float64 copy of it
+        # (17 bytes a step; the sums and square sums of a std took 25)
+        config = replace(reference_config, model=fixed(0.0), runs=2, max_steps=200_000)
+        peak, refs = self.traced_peak(config)
+        assert refs[0].curve.size == 200_001
+        assert peak < 20 * sum(ref.curve.size for ref in refs)
+
     def test_file_graph_smaller_than_seed_count_fails_at_run_time(
             self, reference_config, tmp_path):
         path = tmp_path / "three.edges"
@@ -154,6 +190,28 @@ def best_row(result):
 
 
 class TestFitSeries:
+    def test_interpolating_the_reached_steps_gives_the_whole_curves_bytes(self, monkeypatch):
+        real, calls = np.interp, []
+
+        def spy(x, xp, fp):
+            calls.append((x, real(x, xp, fp)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(np, "interp", spy)
+        rng = np.random.default_rng(12)
+        # curves shorter and longer than the series, with plateaus; points past
+        # both ends, and on whole steps (an offset of a 400-step curve is a
+        # multiple of 25)
+        for length, size in ((2, 8), (3, 40), (50, 8), (400, 120), (5000, 30)):
+            steps = np.maximum.accumulate(np.round(rng.random(length), 1))
+            curve = ReferenceCurve("fixed", steps).curve
+            calls.clear()
+            curvefit._fit_one(rng.random(size), curve)
+            whole = np.arange(length, dtype=np.float64)
+            assert len(calls) > 100
+            for x, y in calls:
+                assert y.tobytes() == real(x, whole, curve).tobytes()
+
     def test_self_fit_is_exact(self, refs):
         for ref in refs:
             result = fit_series(ref.curve, refs)

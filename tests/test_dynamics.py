@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from diffusim.experiment import SimConfig
 from diffusim.graph import (Graph, GraphSpec, build_graph, complete_graph,
                             directed_cycle, watts_strogatz)
 from diffusim.metrics import Trajectory
+import kernel_reference
 from kernel_reference import infection_probability
 
 
@@ -86,6 +88,31 @@ class TestSeedSet:
             SimConfig(graph=GraphSpec("cycle", n=5), model=GROUP, master_seed=1,
                       seed_count=count)
         assert str(sampled.value) == str(configured.value) == message
+
+    def test_seed_random_matches_the_list_reference(self):
+        # 540 cases, on the sample and on the whole generator state after it
+        cases = 0
+        for n in (1, 2, 3, 7, 50, 1000):
+            for count in sorted({1, 2, n // 2, n} & set(range(1, n + 1))):
+                for seed in range(30):
+                    ours, theirs = rng_for(seed), rng_for(seed)
+                    sample = seed_random(SimpleNamespace(n=n), count, ours)
+                    expected = kernel_reference.seed_random(n, count, theirs)
+                    assert sample.nodes == tuple(sorted(expected))
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+                    cases += 1
+        assert cases == 540
+
+    def test_seed_random_memory_follows_the_count_not_n(self):
+        g = SimpleNamespace(n=10 ** 6)  # only n is read
+        seed_random(g, 8, rng_for(35))  # warm up
+        tracemalloc.start()
+        try:
+            seed_random(g, 8, rng_for(35))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000  # the list 0..n-1 took 40 MB
 
     def test_seed_random_is_roughly_uniform(self):
         g = directed_cycle(10)

@@ -362,20 +362,53 @@ class TestRunEnsemble:
         std_counts = np.sqrt(np.clip(var, 0.0, None))
         return mean_counts / n, std_counts / n
 
+    @staticmethod
+    def random_histories(rng, runs, top):
+        """``runs`` (sorted int64 times, last step) pairs of mixed lengths, with
+        last steps up to ``top``; some infect no one."""
+        histories = []
+        n = int(rng.integers(1, 60))
+        for _ in range(runs):
+            steps = int(rng.integers(0, top + 1))
+            size = int(rng.integers(0, n + 1))
+            histories.append((np.sort(rng.integers(0, steps + 1, size)), steps))
+        return histories, n
+
     @pytest.mark.parametrize("runs", [1, 2, 5])
     def test_in_place_curve_is_bit_equal_to_the_sums_expression(self, runs):
         rng = np.random.default_rng(runs)
         for _ in range(60):
-            n = int(rng.integers(1, 60))
-            histories = []
-            for _ in range(runs):  # of mixed lengths, some infecting no one
-                steps = int(rng.integers(0, 400))
-                size = int(rng.integers(0, n + 1))
-                histories.append((np.sort(rng.integers(0, steps + 1, size)), steps))
+            histories, n = self.random_histories(rng, runs, 399)
             curve = experiment._accumulate_curve(histories, n)
             mean, std = self.sums_then_quotients(histories, n)
             assert curve.mean_fraction.tobytes() == mean.tobytes()
             assert curve.std_fraction.tobytes() == std.tobytes()
+            mean_only = experiment._accumulate_curve(histories, n, std=False)
+            assert mean_only.std_fraction is None
+            assert mean_only.mean_fraction.tobytes() == mean.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_narrow_histories_give_the_int64_curve_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(np.dtype(dtype).itemsize)
+        top = min(int(np.iinfo(dtype).max), 70_000)  # uint32 past 65,535 steps
+        for runs in (1, 2, 5):
+            for _ in range(10):
+                wide, n = self.random_histories(rng, runs, top)
+                narrow = [(times.astype(dtype), steps) for times, steps in wide]
+                a = experiment._accumulate_curve(wide, n)
+                b = experiment._accumulate_curve(narrow, n)
+                assert a.mean_fraction.tobytes() == b.mean_fraction.tobytes()
+                assert a.std_fraction.tobytes() == b.std_fraction.tobytes()
+
+    @pytest.mark.parametrize("max_steps, dtype", [
+        (200, np.uint8), (60_000, np.uint16), (70_000, np.uint32)])
+    def test_history_is_the_smallest_unsigned_type_of_the_last_step(self, max_steps, dtype):
+        # fixed(0.0) spreads to no one, so each run ends at the cap
+        cfg = cycle_config(model=fixed(0.0), seed_count=3, max_steps=max_steps)
+        g = experiment.run_graph(cfg, 0)
+        record, (times, steps), _ = experiment._execute_run(cfg, g, 0, True)
+        assert steps == record.steps_executed == max_steps
+        assert times.dtype == dtype and times.tolist() == [0, 0, 0]
 
     def test_curve_holds_under_40_bytes_per_step(self):
         horizon = 400_000
