@@ -27,7 +27,6 @@ import csv
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -72,15 +71,14 @@ def _cell(value) -> str:
 def atomic_open(path):
     """Text handle on a temp file in the target directory; the file is
     renamed onto ``path`` when the block completes, and removed if it fails.
-    The file gets the mode ``open`` would give it (0o666 less the umask)."""
+    Mode "x" creates it exclusively, with the mode ``open`` gives a new file
+    (0o666 less the umask); its name carries 64 random bits."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with handle:
             yield handle
-        umask = os.umask(0)  # reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -22,8 +22,9 @@ each implemented by one kernel that advances the infection times in place:
   by the same strict r < p rule.  t advances by 1 either way.
 
 A state is absorbed once every node is infected or, under the fixed and
-group rules, no susceptible node can ever gain positive probability.  An
-absorbed state draws nothing more; unless every node is infected, its
+group rules, no susceptible node has a positive p; only an infection raises
+a p, so such a state stays absorbed, and both kernels test this one rule.
+An absorbed state draws nothing more; unless every node is infected, its
 trajectory is taken to the step cap, exactly as if stepping had continued.
 
 All draws come from an explicit numpy Generator in exactly the order
@@ -133,10 +134,10 @@ def seed_random(g: Graph, count: int, rng: np.random.Generator) -> SeedSet:
 
 def _rule_state(model: ModelKind, g: Graph, infected: np.ndarray) -> tuple:
     """The fixed or group rule as one flat table: a susceptible node u with d
-    infected in-neighbors has p = table[slot[u]], where slot[u] = row[u] + d.
-    Fixed has one row, for d = 0..max in-degree; group one per distinct
-    in-degree.  Entries come from scalar arithmetic, so both kernels see
-    bit-identical values."""
+    infected in-neighbors has p = table[slot[u]], where slot[u] is u's row
+    start plus d.  Fixed has one row, for d = 0..max in-degree; group one per
+    distinct in-degree.  Entries come from scalar arithmetic, so both kernels
+    see bit-identical values."""
     in_deg = g.in_degrees
     if model.kind == "fixed":
         q = model.transmission_prob
@@ -147,7 +148,7 @@ def _rule_state(model: ModelKind, g: Graph, infected: np.ndarray) -> tuple:
         table = [d / deg if deg else 0.0 for deg in degs.tolist() for d in range(deg + 1)]
         row = (np.cumsum(degs + 1) - degs - 1)[which]
     slot = row + np.bincount(g._arc_dst[infected[g._arc_src]], minlength=g.n)
-    return np.array(table), row, slot
+    return np.array(table), slot
 
 
 def _kernel(scheme: str):
@@ -201,15 +202,14 @@ def _run_synchronous(model, g, times, t, max_steps, rng):
     n = g.n
     kind = model.kind
     susceptible = np.flatnonzero(times < 0)  # ascending node ids
-    i_count = n - susceptible.size
     if kind != "global":
         indptr, indices, out_deg = g._out_indptr, g._arc_dst, g.out_degrees
-        table, _, slot = _rule_state(model, g, times >= 0)  # u's p is table[slot[u]]
+        table, slot = _rule_state(model, g, times >= 0)  # u's p is table[slot[u]]
         prob = table[slot]
 
-    while i_count < n and t < max_steps:
+    while susceptible.size and t < max_steps:
         if kind == "global":
-            p = i_count / n
+            p = (n - susceptible.size) / n
         else:
             p = prob[susceptible]
             if not p.any():
@@ -220,7 +220,6 @@ def _run_synchronous(model, g, times, t, max_steps, rng):
         if new.size:
             susceptible = susceptible[~hit]
             times[new] = t
-            i_count += int(new.size)
             if kind != "global":
                 # one CSR gather of the new nodes' out-arcs
                 counts = out_deg[new]
@@ -229,7 +228,7 @@ def _run_synchronous(model, g, times, t, max_steps, rng):
                 touched = indices[arcs]
                 np.add.at(slot, touched, 1)
                 prob[touched] = table[slot[touched]]
-    return t if i_count == n else max_steps
+    return max_steps if susceptible.size else t
 
 
 _READ_AHEAD = 4096  # doubles drawn per block by the async kernel
@@ -240,18 +239,16 @@ def _run_async(model, g, times, t, max_steps, rng):
     local = model.kind != "global"
     infected = times >= 0
     i_count = int(np.count_nonzero(infected))
-    limit = max_steps if i_count < n else t
     # prob[u]: susceptible u's probability (0.0 under global), None once infected
     prob = [0.0] * n
+    live = n - i_count  # susceptible nodes with p > 0 (all of them under global)
     if local:
-        table, row, slot = _rule_state(model, g, infected)
-        boundary = int((slot - row)[~infected].sum())  # infected -> susceptible arcs
-        table, row, slot = table.tolist(), row.tolist(), slot.tolist()
+        table, slot = _rule_state(model, g, infected)
+        live = int(np.count_nonzero(table[slot][~infected]))
+        table, slot = table.tolist(), slot.tolist()
         prob = [table[s] for s in slot]  # a few shared floats, not n new ones
         indptr, flat = g._out_indptr.tolist(), g._arc_dst.tolist()
-        # absorbed before the first draw; fixed(q) has p(1) = 0 iff every p is 0
-        if boundary == 0 or model.kind == "fixed" and table[1] == 0.0:
-            limit = t
+    limit = max_steps if live else t  # absorbed before the first draw
     for u in np.flatnonzero(infected).tolist():
         prob[u] = None
 
@@ -288,17 +285,18 @@ def _run_async(model, g, times, t, max_steps, rng):
                 now = t + j + 2 - dec
                 prob[w] = None
                 i_count += 1
+                live -= 1  # w's p was positive, since r < p
                 times[w] = now
                 if local:
-                    boundary -= slot[w] - row[w]  # w's infected in-neighbors
                     for x in flat[indptr[w]:indptr[w + 1]]:
-                        if prob[x] is not None:
+                        old = prob[x]
+                        if old is not None:
                             slot[x] += 1
                             prob[x] = table[slot[x]]
-                            boundary += 1
+                            live += old == 0.0  # x's p leaves 0.0; no p falls back to it
                 else:
                     pg = i_count / n
-                if i_count == n or local and boundary == 0:  # done, or absorbed
+                if live == 0:  # done, or absorbed
                     if j + 2 < drawn:  # hand back the doubles read ahead but not used
                         bits.state = start
                         rng.random(j + 2)

@@ -772,6 +772,18 @@ class TestAtomicOpen:
                 raise KeyboardInterrupt
         assert list(tmp_path.iterdir()) == []
 
+    def test_writes_never_touch_the_process_umask(self, tmp_path, monkeypatch):
+        # setting the umask to read it would give a file that another thread
+        # creates meanwhile mode 0o666
+        def umask(mask):
+            raise AssertionError("os.umask called")
+        monkeypatch.setattr(os, "umask", umask)
+        cli.write_csv(tmp_path / "runs.csv", ["a"], [[1]])
+        config = write_config(tmp_path / "c.json")
+        assert main(["gen-graph", "--config", str(config), "--out", str(tmp_path / "g")]) == 0
+        assert (tmp_path / "runs.csv").read_text(encoding="utf-8") == "a\n1\n"
+        assert sorted(p.name for p in (tmp_path / "g").iterdir()) == ["graph.edges"]
+
 
 class TestWorkerEnvironment:
     def test_threads_env_does_not_change_bytes(self, tmp_path):

@@ -236,19 +236,20 @@ class TestRuleTable:
                                        fixed(0.3), fixed(1.0), GROUP],
                              ids=["q0", "q1e-17", "q0.05", "q0.3", "q1", "group"])
     def test_every_entry_is_the_reference_probability(self, tmp_path, model):
-        # table[slot[u]], slot[u] = row[u] + d, for every d up to u's
-        # in-degree, most of which runs seldom reach, is the p that
-        # kernel_reference writes out
+        # table[slot[u]], where slot[u] is u's slot with no infected
+        # in-neighbor plus d, for every d up to u's in-degree, most of which
+        # runs seldom reach, is the p that kernel_reference writes out
         for g in graphs_of_every_generator(tmp_path):
             arcs = g.arcs
+            _, base = dynamics._rule_state(model, g, np.zeros(g.n, dtype=bool))
             for u in range(g.n):
                 neigh = arcs[arcs[:, 1] == u, 0]
                 for d in range(neigh.size + 1):
                     times = np.full(g.n, -1)
                     times[neigh[:d]] = 0
-                    table, row, slot = dynamics._rule_state(model, g, times >= 0)
+                    table, slot = dynamics._rule_state(model, g, times >= 0)
                     expected = infection_probability(model, g, Trajectory(g.n, times, 0), u)
-                    assert slot[u] == row[u] + d and table[slot[u]] == expected, (g, u, d)
+                    assert slot[u] == base[u] + d and table[slot[u]] == expected, (g, u, d)
 
 
 class TestStep:
@@ -435,3 +436,71 @@ class TestRun:
             assert peak < 1_000_000
             assert traj.steps_executed == 2_000_000
             assert traj.final_infected == 1
+
+
+def through_package(model, g, seeds, scheme, cap, label, stepwise):
+    """End step, infection times and bit-generator state of ``run``, or of a
+    loop of ``step`` to the cap, on ``default_rng(label)``."""
+    rng = np.random.default_rng(label)
+    if stepwise:
+        traj = Trajectory.from_seeds(g.n, seeds.nodes)
+        for _ in range(cap):
+            traj = step(model, g, traj, scheme, rng)
+    else:
+        traj = run(model, g, seeds, scheme, cap, rng)
+    return traj.steps_executed, traj.infection_time.tolist(), rng.bit_generator.state
+
+
+def through_reference(model, g, seeds, scheme, cap, label, stepwise):
+    """The same through the kernel_reference copy of the scheme's kernel."""
+    rng = np.random.default_rng(label)
+    kernel = kernel_reference.KERNELS[scheme]
+    times = Trajectory.from_seeds(g.n, seeds.nodes).infection_time
+    if stepwise:
+        for t in range(cap):
+            kernel(model, g, times, t, t + 1, rng)
+        end = cap
+    else:
+        end = kernel(model, g, times, 0, cap, rng)
+    return end, times.tolist(), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("stepwise", [False, True], ids=["run", "step"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestAbsorptionEdges:
+    """A state is absorbed when no susceptible p is positive, at the edges
+    of the fixed and group rules."""
+
+    def test_fixed_p_rounding_to_zero_is_absorbed_before_its_first_draw(
+            self, scheme, stepwise):
+        # fl(1 - 2**-54) = 1.0, so every fixed(2**-54) p is exactly 0
+        g, seeds, label = complete_graph(6), SeedSet((0,)), 61
+        ours = through_package(fixed(2.0**-54), g, seeds, scheme, 200, label, stepwise)
+        theirs = through_reference(fixed(2.0**-54), g, seeds, scheme, 200, label, stepwise)
+        assert ours[:2] == theirs[:2] == (200, [0, -1, -1, -1, -1, -1])
+        # the async reference absorbs fixed only at q = 0, so here it draws
+        # picks to the cap; both copies absorb fixed(0), whose ps are the same
+        assert ours == through_reference(fixed(0.0), g, seeds, scheme, 200, label,
+                                         stepwise)
+        assert ours[2] == np.random.default_rng(label).bit_generator.state
+
+    def test_fixed_smallest_positive_p_runs_to_the_cap(self, scheme, stepwise):
+        # fl(1 - 2**-53) < 1.0, so p(1) = 2**-53 > 0 and nothing is absorbed
+        g, seeds, label = complete_graph(6), SeedSet((0,)), 62
+        ours = through_package(fixed(2.0**-53), g, seeds, scheme, 200, label, stepwise)
+        assert ours == through_reference(fixed(2.0**-53), g, seeds, scheme, 200,
+                                         label, stepwise)
+        assert ours[2] != np.random.default_rng(label).bit_generator.state
+
+    def test_group_with_source_nodes_beside_infected_in_neighbors(
+            self, scheme, stepwise):
+        # 5 and 6 have in-degree 0, so their p stays 0, as does 7's, which
+        # only 6 reaches; 1 and 4 start with an infected in-neighbor; 2's and
+        # 3's p leave 0 when 1 is infected, and the first of them infected
+        # raises the other's from 1/2 to 1
+        g = Graph(8, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 2), (0, 4), (5, 4), (6, 7)])
+        for label in range(63, 68):
+            ours = through_package(GROUP, g, SeedSet((0,)), scheme, 300, label, stepwise)
+            assert ours == through_reference(GROUP, g, SeedSet((0,)), scheme, 300,
+                                             label, stepwise)
+            assert ours[1][5:] == [-1, -1, -1]

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import diffusim
 from diffusim.cli import main
 
@@ -35,17 +37,18 @@ def test_every_exported_name_resolves():
     assert len(set(diffusim.__all__)) == len(diffusim.__all__)
 
 
-def test_cli_outputs_follow_the_umask(tmp_path):
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_cli_outputs_follow_the_umask(tmp_path, umask, mode):
     config = tmp_path / "c.json"
     config.write_text(json.dumps(
         {"model": "group", "master_seed": 5, "runs": 2,
          "graph": {"type": "directed_cycle", "n": 12}}), encoding="utf-8")
     out = tmp_path / "out"
-    previous = os.umask(0o022)
+    previous = os.umask(umask)
     try:
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert main(["gen-graph", "--config", str(config), "--out", str(out)]) == 0
     finally:
         os.umask(previous)
     for name in ("runs.csv", "summary.csv", "graph.edges"):
-        assert stat.S_IMODE((out / name).stat().st_mode) == 0o644, name
+        assert stat.S_IMODE((out / name).stat().st_mode) == mode, name
