@@ -252,25 +252,21 @@ def read_series_csv(path: str) -> np.ndarray:
     rise by exactly 1 per row, each ASCII decimal (``[+-]?[0-9]+``).
     Errors name the line; ``fit`` names the file.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    reader = csv.reader(lines)
-    try:  # a read to the end, keeping nothing: a csv.Error anywhere comes first
-        for _ in reader:
-            pass
+    reader = csv.reader(Path(path).read_text(encoding="utf-8").splitlines())
+    try:  # every row is read before one is checked: a csv.Error anywhere comes first
+        rows = [(reader.line_num, row) for row in reader if any(col.strip() for col in row)]
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    reader = csv.reader(lines)
-    rows = ((reader.line_num, row) for row in reader if any(col.strip() for col in row))
-    _, first = next(rows, (None, None))
-    if first is None:
+    if not rows:
         raise ValueError("empty series file")
+    first = rows[0][1]
     header = [col.strip().lower() for col in first]
     column = {("t", "value"): 1, ("value",): 0}.get(tuple(header))
     if column is None:
         raise ValueError(f"header must be 't,value' or 'value', got {first!r}")
     values = []
     last_t = None
-    for lineno, row in rows:
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} column(s)")
         if column:

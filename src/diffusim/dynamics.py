@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, check_field_types, config_value
+from .graph import Graph, _RawDraws, check_field_types, config_value
 from .metrics import Trajectory
 
 SYNCHRONOUS = "synchronous"
@@ -120,15 +120,16 @@ def seed_random(g: Graph, count: int, rng: np.random.Generator) -> SeedSet:
     """Uniform sample of ``count`` distinct nodes (partial Fisher-Yates over a
     dict of the positions a swap moved, so memory follows ``count``, not n).
 
-    Consumes exactly ``count`` integer draws from the stream.
+    Consumes exactly ``count`` integer draws from the stream, which must be PCG64.
     """
     n = g.n
     check_seed_count(count, n)
-    moved, nodes = {}, []
+    draws, moved, nodes = _RawDraws(rng), {}, []
     for i in range(count):
-        j = i + int(rng.integers(n - i))
+        j = i + draws.integers(n - i)
         nodes.append(moved.get(j, j))  # swap positions i and j; i is final
         moved[j] = moved.get(i, i)
+    draws.close()
     return SeedSet(tuple(nodes))
 
 
@@ -238,10 +239,9 @@ def _run_async(model, g, times, t, max_steps, rng):
     n = g.n
     local = model.kind != "global"
     infected = times >= 0
-    i_count = int(np.count_nonzero(infected))
     # prob[u]: susceptible u's probability (0.0 under global), None once infected
     prob = [0.0] * n
-    live = n - i_count  # susceptible nodes with p > 0 (all of them under global)
+    live = n - int(np.count_nonzero(infected))  # susceptible nodes with p > 0
     if local:
         table, slot = _rule_state(model, g, infected)
         live = int(np.count_nonzero(table[slot][~infected]))
@@ -253,7 +253,7 @@ def _run_async(model, g, times, t, max_steps, rng):
         prob[u] = None
 
     bits = rng.bit_generator
-    pg = 0.0 if local else i_count / n  # the global rule's p; 0.0 under the others
+    pg = 0.0 if local else (n - live) / n  # the global rule's p; 0.0 under the others
     while t < limit:
         # A block holds no more doubles than the steps left.  A double whose
         # pick was infected at the block's start is always an infected pick,
@@ -284,7 +284,6 @@ def _run_async(model, g, times, t, max_steps, rng):
                 j = at[last - walk.__length_hint__()]
                 now = t + j + 2 - dec
                 prob[w] = None
-                i_count += 1
                 live -= 1  # w's p was positive, since r < p
                 times[w] = now
                 if local:
@@ -294,13 +293,13 @@ def _run_async(model, g, times, t, max_steps, rng):
                             slot[x] += 1
                             prob[x] = table[slot[x]]
                             live += old == 0.0  # x's p leaves 0.0; no p falls back to it
-                else:
-                    pg = i_count / n
+                else:  # every susceptible node is live
+                    pg = (n - live) / n
                 if live == 0:  # done, or absorbed
                     if j + 2 < drawn:  # hand back the doubles read ahead but not used
                         bits.state = start
                         rng.random(j + 2)
-                    return now if i_count == n else max_steps
+                    return now if times.min() >= 0 else max_steps
             next(steps, None)  # skip the decision: it is no pick
         t += drawn - dec
-    return t if i_count == n else max_steps
+    return t if times.min() >= 0 else max_steps

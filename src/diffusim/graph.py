@@ -237,23 +237,24 @@ _LOW32 = 0xFFFFFFFF
 
 
 class _RawDraws:
-    """``Generator.random()`` < beta and ``Generator.integers(n)`` read from
+    """``Generator.integers(n)`` and ``Generator.random()`` < beta read from
     the raw 64-bit words of a PCG64 stream, value for value.
 
-    A double takes one word w and is (w >> 11) * 2**-53.  ``integers(n)``,
-    for 2 <= n <= 2**32, is Lemire's bounded step over 32-bit reads.  A
-    32-bit read takes the cached half if there is one (``has_uint32``),
-    else the low half of a fresh word, caching its high half
-    (``uinteger``); doubles leave the cache alone.  Words are drawn in
-    blocks with ``random_raw``, each block's hits (words whose double is
-    below ``beta``) found at once.  ``close`` sets the stream to its start
-    plus the words read, with the cache the scalar calls would leave.
+    A double takes one word w and is (w >> 11) * 2**-53.  ``integers(n)``
+    is Lemire's bounded step over 32-bit reads; n = 1 draws nothing, and
+    n > 2**32, where numpy reads whole words, raises ValueError.  A 32-bit
+    read takes the cached half if there is one (``has_uint32``), else the
+    low half of a fresh word, caching its high half (``uinteger``); doubles
+    leave the cache alone.  Words are drawn in blocks with ``random_raw``,
+    each block's hits (words whose double is below a nonzero ``beta``)
+    found at once.  ``close`` sets the stream to its start plus the words
+    read, with the cache the scalar calls would leave.
     """
 
-    def __init__(self, rng: np.random.Generator, beta: float):
+    def __init__(self, rng: np.random.Generator, beta: float = 0.0):
         self.bits = rng.bit_generator
         if type(self.bits) is not np.random.PCG64:
-            raise ValueError("watts_strogatz reads raw PCG64 words, so its rng "
+            raise ValueError("draws are read from raw PCG64 words, so the rng "
                              "needs a PCG64 bit generator, not "
                              f"{type(self.bits).__name__}")
         self.start = self.bits.state
@@ -263,8 +264,9 @@ class _RawDraws:
 
     def _draw(self, size: int) -> None:
         block = self.bits.random_raw(size)
-        hits = np.flatnonzero((block >> 11) * 2.0 ** -53 < self.beta)
-        self.hits += (hits + len(self.words)).tolist()
+        if self.beta:  # no double is below 0.0
+            hits = np.flatnonzero((block >> 11) * 2.0 ** -53 < self.beta)
+            self.hits += (hits + len(self.words)).tolist()
         self.words += block.tolist()
 
     def misses(self, limit: int) -> int:
@@ -295,7 +297,9 @@ class _RawDraws:
         return word & _LOW32
 
     def integers(self, n: int) -> int:
-        m = self._uint32() * n
+        if n > 1 << 32:
+            raise ValueError(f"integers({n}): the bound is above 2**32")
+        m = self._uint32() * n if n > 1 else 0
         if m & _LOW32 < n:
             threshold = (1 << 32) % n
             while m & _LOW32 < threshold:
@@ -305,9 +309,8 @@ class _RawDraws:
     def close(self) -> None:
         self.bits.state = self.start
         self.bits.advance(self.pos)
-        state = self.bits.state
-        state["has_uint32"], state["uinteger"] = self.cached, self.half
-        self.bits.state = state
+        self.bits.state = dict(self.bits.state, has_uint32=self.cached, uinteger=self.half)
+        self.words = self.hits = None  # freed before the caller builds its graph
 
 
 def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
@@ -322,12 +325,13 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
     Args:
         n: Final node count, n > m0.
         m_attach: Edges added per new node, 1 <= m_attach <= m0.
-        rng: Seeded random stream.
+        rng: Seeded random stream; its bit generator must be PCG64.
         m0: Seed clique size.
     """
     GraphSpec("barabasi_albert", n=n, m_attach=m_attach, m0=m0)  # checks the arguments
     if m0 is None:
         m0 = m_attach
+    draws = _RawDraws(rng)  # one integers(len(endpoints)) per pick
 
     # each edge's two endpoints: the edge list and the degree-weighted pick pool
     endpoints = array("q", [x for a in range(m0) for b in range(a + 1, m0) for x in (a, b)])
@@ -337,7 +341,7 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
         attempts = 0
         while len(targets) < m_attach:
             if endpoints and attempts < 1000:
-                t = endpoints[int(rng.integers(len(endpoints)))]
+                t = endpoints[draws.integers(len(endpoints))]
                 attempts += 1
             else:
                 # degenerate start (edgeless seed) or pathological rejection
@@ -346,6 +350,7 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
             targets.add(t)
         for t in sorted(targets):
             endpoints.extend((t, v))
+    draws.close()
 
     pairs = np.frombuffer(endpoints, dtype=np.int64).reshape(-1, 2)
     return Graph(n, np.concatenate([pairs, pairs[:, ::-1]]))

@@ -273,20 +273,54 @@ def test_watts_strogatz_matches_scalar_reference(n, k, beta):
 
 @pytest.mark.parametrize("cached", [False, True])
 def test_raw_bounded_step_matches_integers(cached):
-    """At n = 3 * 2**30 Lemire's step rejects a quarter of its 32-bit reads."""
-    n = 3 * 2 ** 30
-    fast, slow = np.random.default_rng(17), np.random.default_rng(17)
-    if cached:  # enter with the cached 32-bit half set
-        assert fast.integers(7) == slow.integers(7)
-    draws = graph._RawDraws(fast, 0.0)
-    assert [draws.integers(n) for _ in range(500)] == \
-        [int(slow.integers(n)) for _ in range(500)]
+    """At n = 3 * 2**30 Lemire's step rejects a quarter of its 32-bit reads;
+    n = 2**32 takes each read as it is, and n = 1 draws nothing."""
+    for n in (3 * 2 ** 30, 1, 2, 2 ** 32):
+        fast, slow = np.random.default_rng(17), np.random.default_rng(17)
+        if cached:  # enter with the cached 32-bit half set
+            assert fast.integers(7) == slow.integers(7)
+        before = fast.bit_generator.state
+        draws = graph._RawDraws(fast)
+        assert [draws.integers(n) for _ in range(500)] == \
+            [int(slow.integers(n)) for _ in range(500)]
+        draws.close()
+        assert fast.bit_generator.state == slow.bit_generator.state
+        if n == 1:
+            assert fast.bit_generator.state == before
+        assert fast.random() == slow.random()
+
+
+def test_raw_bounded_step_rejects_a_bound_above_2_32():
+    """numpy reads whole 64-bit words there, not 32-bit halves, so the
+    reader refuses, drawing nothing."""
+    rng = np.random.default_rng(17)
+    before = rng.bit_generator.state
+    draws = graph._RawDraws(rng)
+    with pytest.raises(ValueError, match=r"integers\(4294967297\): the bound is above"):
+        draws.integers(2 ** 32 + 1)
     draws.close()
-    assert fast.bit_generator.state == slow.bit_generator.state
-    assert fast.random() == slow.random()
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("k", [1, 4096, 1001])
+def test_random_doubles_are_the_top_53_bits_of_raw_words(k, cached):
+    """The kernels draw their doubles with ``Generator.random``; this pins
+    it to PCG64's word stream, in value and in full generator state."""
+    rng, raw = np.random.default_rng(29), np.random.default_rng(29)
+    if cached:  # enter with the cached 32-bit half set
+        assert rng.integers(7) == raw.integers(7)
+    words = raw.bit_generator.random_raw(k)
+    assert np.array_equal(rng.random(k), (words >> 11) * 2.0 ** -53)
+    assert rng.bit_generator.state == raw.bit_generator.state
 
 
 def test_watts_strogatz_needs_pcg64():
+    """So do barabasi_albert and seed_random, whose integers are read alike."""
+    builds = (lambda rng: graph.watts_strogatz(20, 4, 0.1, rng),
+              lambda rng: graph.barabasi_albert(20, 2, rng),
+              lambda rng: dynamics.seed_random(graph.directed_cycle(5), 1, rng))
     for bits in (np.random.MT19937(3), np.random.PCG64DXSM(3)):
-        with pytest.raises(ValueError, match="PCG64 bit generator"):
-            graph.watts_strogatz(20, 4, 0.1, np.random.Generator(bits))
+        for build in builds:
+            with pytest.raises(ValueError, match="PCG64 bit generator"):
+                build(np.random.Generator(bits))
