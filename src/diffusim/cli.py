@@ -253,32 +253,37 @@ def read_series_csv(path: str) -> np.ndarray:
     Errors name the line; ``fit`` names the file.
     """
     reader = csv.reader(Path(path).read_text(encoding="utf-8").splitlines())
-    try:  # every row is read before one is checked: a csv.Error anywhere comes first
-        rows = [(reader.line_num, row) for row in reader if any(col.strip() for col in row)]
+    rows = ((reader.line_num, row) for row in reader if any(col.strip() for col in row))
+    values, last_t = [], None
+    try:
+        try:  # each row is checked as it is read, not held
+            first = next(rows, (0, None))[1]
+            if first is None:
+                raise ValueError("empty series file")
+            header = [col.strip().lower() for col in first]
+            column = {("t", "value"): 1, ("value",): 0}.get(tuple(header))
+            if column is None:
+                raise ValueError(f"header must be 't,value' or 'value', got {first!r}")
+            for lineno, row in rows:
+                if len(row) != len(header):
+                    raise ValueError(f"line {lineno}: expected {len(header)} column(s)")
+                if column:
+                    t = decimal_int(row[0].strip())
+                    if t is None or last_t not in (None, t - 1):
+                        raise ValueError(f"line {lineno}: t must be an integer rising "
+                                         f"by 1 per row, got {row[0]!r}")
+                    last_t = t
+                try:
+                    values.append(float(row[column]))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: not a number: "
+                                     f"{row[column]!r}") from None
+        except ValueError:
+            for _ in reader:  # the rest of the file: a csv.Error there comes first
+                pass
+            raise
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise ValueError("empty series file")
-    first = rows[0][1]
-    header = [col.strip().lower() for col in first]
-    column = {("t", "value"): 1, ("value",): 0}.get(tuple(header))
-    if column is None:
-        raise ValueError(f"header must be 't,value' or 'value', got {first!r}")
-    values = []
-    last_t = None
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise ValueError(f"line {lineno}: expected {len(header)} column(s)")
-        if column:
-            t = decimal_int(row[0].strip())
-            if t is None or last_t not in (None, t - 1):
-                raise ValueError(f"line {lineno}: t must be an integer rising "
-                                 f"by 1 per row, got {row[0]!r}")
-            last_t = t
-        try:
-            values.append(float(row[column]))
-        except ValueError:
-            raise ValueError(f"line {lineno}: not a number: {row[column]!r}") from None
     if not values:
         raise ValueError("series has a header but no rows")
     return np.asarray(values)

@@ -50,6 +50,7 @@ STREAM_GRAPH = 1
 
 DEFAULT_METRICS = (0.01, (0.01, 0.99))
 MAX_STEPS_PER_NODE = 200  # default cap when max_steps is unset
+_CURVE_BLOCK = 65_536  # curve steps per block: no temporary is as long as the curve
 
 
 def derive_run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -448,17 +449,20 @@ def _accumulate_curve(histories, n: int, std: bool = True) -> CurveStats:
         np.add.at(sums[0], times, 1)
         if std:
             np.add.at(sums[1], times, 2 * np.arange(1, times.size + 1, dtype=np.int64) - 1)
-    quotients = [total.view(np.float64) for total in sums]
-    for total, quotient in zip(sums, quotients):
-        np.divide(np.cumsum(total, out=total), len(histories), out=quotient)
-    mean, var = quotients[0], (quotients[1] if std else None)
-    if std:
-        var -= mean * mean
-        np.clip(var, 0.0, None, out=var)
-        np.sqrt(var, out=var)
-        var /= n
-    mean /= n
-    return CurveStats(mean_fraction=mean, std_fraction=var)
+    quotients = [np.cumsum(total, out=total).view(np.float64) for total in sums]
+    for lo in range(0, horizon, _CURVE_BLOCK):
+        block = slice(lo, lo + _CURVE_BLOCK)
+        for total, quotient in zip(sums, quotients):
+            np.divide(total[block], len(histories), out=quotient[block])
+        mean = quotients[0][block]
+        if std:
+            var = quotients[1][block]
+            var -= mean * mean
+            np.clip(var, 0.0, None, out=var)
+            np.sqrt(var, out=var)
+            var /= n
+        mean /= n
+    return CurveStats(mean_fraction=quotients[0], std_fraction=quotients[1] if std else None)
 
 
 # -- sweeps -------------------------------------------------------------------

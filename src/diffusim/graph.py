@@ -105,8 +105,16 @@ class Graph:
             repeats = code[1:] == code[:-1]
             if repeats.any():  # the sort is stable, so each repeat is a later occurrence
                 raise ArcError(arr, "duplicate", order[1:][repeats].min())
-        src, dst = np.divmod(code, n)
+        self._assemble(n, code)
 
+    @classmethod
+    def _of_codes(cls, n: int, code: np.ndarray) -> Graph:
+        """A generator's graph of arc codes valid by construction: sorted, unchecked."""
+        code.sort()
+        return object.__new__(cls)._assemble(n, code)
+
+    def _assemble(self, n: int, code: np.ndarray) -> Graph:
+        src, dst = np.divmod(code, n)
         self.n = n
         self.arc_count = int(src.size)
         self._arc_src = src
@@ -116,6 +124,7 @@ class Graph:
         self._in_degrees = np.bincount(dst, minlength=n)
         for a in (src, dst, self._out_indptr, self._in_degrees):
             a.setflags(write=False)
+        return self
 
     # -- inspection --------------------------------------------------------
 
@@ -191,46 +200,40 @@ def watts_strogatz(n: int, k: int, beta: float, rng: np.random.Generator) -> Gra
     GraphSpec("watts_strogatz", n=n, k=k, beta=beta)  # checks the arguments
 
     # lattice edges in visiting order, each encoded as a*n + b with a < b
-    near = np.tile(np.arange(n, dtype=np.int64), k // 2)
-    far = (near + np.repeat(np.arange(1, k // 2 + 1, dtype=np.int64), n)) % n
-    codes = np.minimum(near, far) * n + np.maximum(near, far)
+    far = ((near := np.arange(n, dtype=np.int64)) + np.arange(1, k // 2 + 1)[:, None]) % n
+    codes = (np.minimum(near, far) * n + np.maximum(near, far)).ravel()
     if beta > 0.0:
-        codes = _rewire(n, near, codes, beta, rng)
-    lo, hi = np.divmod(codes, n)
-    return Graph(n, np.concatenate([np.stack([lo, hi], axis=1),
-                                    np.stack([hi, lo], axis=1)]))
+        _rewire(n, k // 2, codes, beta, rng)
+    return Graph._of_codes(n, np.concatenate([codes, codes % n * n + codes // n]))
 
 
-def _rewire(n: int, near: np.ndarray, codes: np.ndarray, beta: float,
-            rng: np.random.Generator) -> np.ndarray:
-    """Apply the rewiring pass to the lattice edge codes.
-
-    Draw for draw the same as one ``rng.random()`` per edge and one
-    ``rng.integers(n)`` per attempt, read from raw PCG64 words by
-    :class:`_RawDraws`, which leaves the stream where those calls would.
-    """
+def _rewire(n: int, half: int, codes: np.ndarray, beta: float,
+            rng: np.random.Generator) -> None:
+    """Rewire the lattice edge ``codes`` in place, draw for draw as
+    watts_strogatz says.  A candidate a-b, a < b, collides if it was rewired
+    in, or if it is a lattice edge (ring distance min(b - a, n - b + a) at
+    most ``half``; a loop's is 0) that was not rewired away."""
     draws = _RawDraws(rng, beta)
-    edges = set(codes.tolist())
+    away, rewired_in = set(), set()
     e, total = 0, codes.size
     while True:
         e += draws.misses(total - e)
         if e == total:
             break
-        i, old = int(near[e]), int(codes[e])
+        i = e % n  # the edge's near end
         for _ in range(n):
             w = draws.integers(n)
-            if w == i:
+            a, b = (i, w) if i < w else (w, i)
+            new = a * n + b
+            if new in rewired_in or (min(b - a, n - b + a) <= half and new not in away):
                 continue
-            new = i * n + w if i < w else w * n + i
-            if new in edges:
-                continue
-            edges.remove(old)
-            edges.add(new)
+            away.add(int(codes[e]))
+            rewired_in.add(new)
+            codes[e] = new
             break
         # all attempts collided: keep the original edge
         e += 1
     draws.close()
-    return np.fromiter(edges, dtype=np.int64, count=len(edges))
 
 
 _LOW32 = 0xFFFFFFFF
@@ -247,7 +250,7 @@ class _RawDraws:
     low half of a fresh word, caching its high half (``uinteger``); doubles
     leave the cache alone.  Words are drawn in blocks with ``random_raw``,
     each block's hits (words whose double is below a nonzero ``beta``)
-    found at once.  ``close`` sets the stream to its start plus the words
+    found at once.  ``close`` leaves the stream at its start plus the words
     read, with the cache the scalar calls would leave.
     """
 
@@ -289,8 +292,8 @@ class _RawDraws:
         if self.cached:
             self.cached = 0
             return self.half
-        if self.pos == len(self.words):
-            self._draw(64)
+        if self.pos == len(self.words):  # blocks of 1, 1, 2, 4, ... then 64 words
+            self._draw(min(len(self.words) or 1, 64))
         word = self.words[self.pos]
         self.pos += 1
         self.cached, self.half = 1, word >> 32
@@ -307,8 +310,10 @@ class _RawDraws:
         return m >> 32
 
     def close(self) -> None:
-        self.bits.state = self.start
-        self.bits.advance(self.pos)
+        if self.pos < len(self.words):  # rewind the words read ahead
+            self.bits.state = self.start
+            self.bits.advance(self.pos)
+        # random_raw keeps the cache, and advance clears it
         self.bits.state = dict(self.bits.state, has_uint32=self.cached, uinteger=self.half)
         self.words = self.hits = None  # freed before the caller builds its graph
 
@@ -352,21 +357,21 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator,
             endpoints.extend((t, v))
     draws.close()
 
-    pairs = np.frombuffer(endpoints, dtype=np.int64).reshape(-1, 2)
-    return Graph(n, np.concatenate([pairs, pairs[:, ::-1]]))
+    lo, hi = np.frombuffer(endpoints, dtype=np.int64).reshape(-1, 2).T
+    return Graph._of_codes(n, np.concatenate([lo * n + hi, hi * n + lo]))
 
 
 def complete_graph(n: int) -> Graph:
     """All n*(n-1) ordered arcs; n >= 2."""
     GraphSpec("complete", n=n)  # checks the arguments
-    return Graph(n, np.argwhere(~np.eye(n, dtype=bool)))
+    return Graph._of_codes(n, np.flatnonzero(~np.eye(n, dtype=bool)))
 
 
 def directed_cycle(n: int) -> Graph:
     """Arcs i -> (i+1) mod n; every in-degree is 1 (for n=2, a 2-cycle)."""
     GraphSpec("directed_cycle", n=n)  # checks the arguments
-    idx = np.arange(n)
-    return Graph(n, np.stack([idx, (idx + 1) % n], axis=1))
+    idx = np.arange(n, dtype=np.int64)
+    return Graph._of_codes(n, idx * n + (idx + 1) % n)
 
 
 # -- persistence ------------------------------------------------------------

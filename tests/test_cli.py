@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -606,6 +607,22 @@ class TestSeriesInput:
         path.write_text("t,value\n0,1\n1,spam\n2,eggs\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"^line 3: not a number: 'spam'$"):
             read_series_csv(path)
+
+    def test_rows_are_checked_as_they_are_read(self, tmp_path):
+        # the text, its lines and the values; holding every parsed row first
+        # peaked at 3.3 MB
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n" + "".join(f"{t},{t / 1e4:.6f}\n" for t in range(10_000)),
+                        encoding="utf-8")
+        read_series_csv(path)  # warm up
+        tracemalloc.start()
+        try:
+            values = read_series_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.dtype == np.float64 and values[-1] == 0.9999
+        assert peak < 1_500_000
 
     def test_a_header_and_blank_lines_have_no_rows(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -73,6 +73,17 @@ class TestReferenceCurve:
         with pytest.raises(ValueError, match="non-decreasing"):
             ReferenceCurve("fixed", np.array([0.5, 0.2, 0.9]))
 
+    @pytest.mark.parametrize("drop", [1, 2, 3])
+    def test_a_drop_at_a_block_edge_is_rejected(self, drop):
+        # the order check runs over blocks; a drop between two of them counts
+        block = curvefit._CURVE_BLOCK
+        values = np.linspace(0.0, 1.0, 2 * block + 2)
+        ReferenceCurve("fixed", values)
+        values[block + drop - 2] = values[block + drop - 1]
+        values[block + drop - 1] -= 1e-9
+        with pytest.raises(ValueError, match="non-decreasing"):
+            ReferenceCurve("fixed", values)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
         # NaN fails every comparison, so the range and order checks miss it
@@ -152,14 +163,15 @@ class TestReferenceBuild:
         run_nodes = 3 * (reference_config.runs - 10) * reference_config.graph.n
         assert many - few < 9 * run_nodes
 
-    def test_reference_build_holds_under_20_bytes_per_step(self, reference_config):
+    def test_reference_build_holds_under_12_bytes_per_step(self, reference_config):
         # fixed(0.0) spreads to no one, so its curve runs to the cap: one int64
-        # sum row that becomes the mean, and np.divide's float64 copy of it
-        # (17 bytes a step; the sums and square sums of a std took 25)
+        # sum row that becomes the mean a block at a time (11 bytes a step;
+        # np.divide's whole-array copy took 17, the sums and square sums of a
+        # std 25)
         config = replace(reference_config, model=fixed(0.0), runs=2, max_steps=200_000)
         peak, refs = self.traced_peak(config)
         assert refs[0].curve.size == 200_001
-        assert peak < 20 * sum(ref.curve.size for ref in refs)
+        assert peak < 12 * sum(ref.curve.size for ref in refs)
 
     def test_file_graph_smaller_than_seed_count_fails_at_run_time(
             self, reference_config, tmp_path):

@@ -303,6 +303,41 @@ class TestSmallGenerators:
         assert {v for v, u in arc_set(g) if u == 0} == {1, 2, 3, 4, 5}
 
 
+class TestGeneratedGraphsSkipValidation:
+    """Generators hand their arc codes to Graph without its checks; each graph
+    must be the one validation builds from the same arcs."""
+
+    @staticmethod
+    def assert_as_validated(g: Graph) -> None:
+        again = Graph(g.n, g.arcs)
+        assert g == again and g.arc_count == again.arc_count
+        for name in ("_arc_src", "_arc_dst", "_out_indptr", "_in_degrees"):
+            ours, theirs = getattr(g, name), getattr(again, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            assert not ours.flags.writeable
+
+    @pytest.mark.parametrize("n,k,beta", [
+        (40, 4, 0.0), (40, 4, 0.02), (300, 10, 0.02), (40, 6, 1.0),
+        (5, 4, 1.0), (9, 8, 1.0)])  # the last two: every attempt collides
+    def test_watts_strogatz(self, n, k, beta):
+        for seed in range(6):
+            g = watts_strogatz(n, k, beta, rng_for(seed))
+            self.assert_as_validated(g)
+            if k == n - 1:  # the lattice is complete, so nothing can move
+                assert g == complete_graph(n)
+
+    @pytest.mark.parametrize("n,m_attach,m0", [
+        (2, 1, 1), (60, 1, 1), (300, 3, None), (40, 2, 6)])
+    def test_barabasi_albert(self, n, m_attach, m0):
+        for seed in range(6):
+            self.assert_as_validated(barabasi_albert(n, m_attach, rng_for(seed), m0))
+
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_complete_graph_and_directed_cycle(self, n):
+        self.assert_as_validated(complete_graph(n))
+        self.assert_as_validated(directed_cycle(n))
+
+
 class TestEdgeList:
     def test_cycle_text_form(self):
         buf = io.StringIO()
