@@ -148,7 +148,7 @@ def _rule_state(model: ModelKind, g: Graph, infected: np.ndarray) -> tuple:
         degs, which = np.unique(in_deg, return_inverse=True)
         table = [d / deg if deg else 0.0 for deg in degs.tolist() for d in range(deg + 1)]
         row = (np.cumsum(degs + 1) - degs - 1)[which]
-    slot = row + np.bincount(g._arc_dst[infected[g._arc_src]], minlength=g.n)
+    slot = row + np.bincount(g._out_neighbors_of(np.flatnonzero(infected)), minlength=g.n)
     return np.array(table), slot
 
 
@@ -204,7 +204,6 @@ def _run_synchronous(model, g, times, t, max_steps, rng):
     kind = model.kind
     susceptible = np.flatnonzero(times < 0)  # ascending node ids
     if kind != "global":
-        indptr, indices, out_deg = g._out_indptr, g._arc_dst, g.out_degrees
         table, slot = _rule_state(model, g, times >= 0)  # u's p is table[slot[u]]
         prob = table[slot]
 
@@ -222,11 +221,7 @@ def _run_synchronous(model, g, times, t, max_steps, rng):
             susceptible = susceptible[~hit]
             times[new] = t
             if kind != "global":
-                # one CSR gather of the new nodes' out-arcs
-                counts = out_deg[new]
-                arcs = np.repeat(indptr[new] - counts.cumsum() + counts, counts)
-                arcs += np.arange(arcs.size)
-                touched = indices[arcs]
+                touched = g._out_neighbors_of(new)
                 np.add.at(slot, touched, 1)
                 prob[touched] = table[slot[touched]]
     return max_steps if susceptible.size else t
@@ -247,7 +242,7 @@ def _run_async(model, g, times, t, max_steps, rng):
         live = int(np.count_nonzero(table[slot][~infected]))
         table, slot = table.tolist(), slot.tolist()
         prob = [table[s] for s in slot]  # a few shared floats, not n new ones
-        indptr, flat = g._out_indptr.tolist(), g._arc_dst.tolist()
+        indptr, flat = memoryview(g._out_indptr), memoryview(g._arc_dst)
     limit = max_steps if live else t  # absorbed before the first draw
     for u in np.flatnonzero(infected).tolist():
         prob[u] = None

@@ -64,11 +64,11 @@ class Graph:
     ``v*n + u``: input whose codes already strictly increase, such as a
     file ``save_edge_list`` wrote, is neither sorted nor scanned for
     duplicates; other input is sorted once, stably.  The sorted arcs are
-    the out-adjacency CSR; there is no in-adjacency.  Neighbour lists are
-    ascending.
+    the out-adjacency CSR, one int64 destination per arc, sources read off
+    the offsets; there is no in-adjacency.  Neighbour lists are ascending.
     """
 
-    __slots__ = ("n", "arc_count", "_arc_src", "_arc_dst", "_out_indptr", "_in_degrees")
+    __slots__ = ("n", "arc_count", "_arc_dst", "_out_indptr", "_in_degrees")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray):
         n = config_value("node count", "int", n)
@@ -114,24 +114,34 @@ class Graph:
         return object.__new__(cls)._assemble(n, code)
 
     def _assemble(self, n: int, code: np.ndarray) -> Graph:
-        src, dst = np.divmod(code, n)
         self.n = n
-        self.arc_count = int(src.size)
-        self._arc_src = src
-        self._arc_dst = dst
+        self.arc_count = int(code.size)
         self._out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self._out_indptr[1:])
-        self._in_degrees = np.bincount(dst, minlength=n)
-        for a in (src, dst, self._out_indptr, self._in_degrees):
+        self._out_indptr[1:] = np.searchsorted(code, np.arange(1, n + 1) * n)
+        self._arc_dst = np.remainder(code, n, out=code)  # in place: callers hand over a fresh array
+        self._in_degrees = np.bincount(code, minlength=n)
+        for a in (code, self._out_indptr, self._in_degrees):
             a.setflags(write=False)
         return self
+
+    def _arc_sources(self) -> np.ndarray:
+        """Each arc's source, in arc order: node v repeated out-degree times."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees)
+
+    def _out_neighbors_of(self, nodes: np.ndarray) -> np.ndarray:
+        """One CSR gather: each of ``nodes``' out-neighbours, node by node, ascending."""
+        starts = self._out_indptr[nodes]
+        counts = self._out_indptr[nodes + 1] - starts
+        arcs = np.repeat(starts - counts.cumsum() + counts, counts)
+        arcs += np.arange(arcs.size)
+        return self._arc_dst[arcs]
 
     # -- inspection --------------------------------------------------------
 
     @property
     def arcs(self) -> np.ndarray:
         """Read-only (m, 2) array of arcs sorted by (source, destination)."""
-        return np.stack([self._arc_src, self._arc_dst], axis=1)
+        return np.stack([self._arc_sources(), self._arc_dst], axis=1)
 
     def out_neighbors(self, u: int) -> np.ndarray:
         """Nodes w with an arc u -> w, ascending (read-only view)."""
@@ -150,18 +160,16 @@ class Graph:
 
     def fingerprint(self) -> str:
         """Stable 16-hex-digit digest of (n, arc set)."""
-        h = hashlib.sha256()
-        h.update(str(self.n).encode())
-        h.update(b"\n")
-        h.update(self._arc_src.tobytes())
-        h.update(self._arc_dst.tobytes())
+        h = hashlib.sha256(f"{self.n}\n".encode())
+        h.update(self._arc_sources())  # the arrays' buffers, not copies of them
+        h.update(self._arc_dst)
         return h.hexdigest()[:16]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.n == other.n
-                and np.array_equal(self._arc_src, other._arc_src)
+                and np.array_equal(self._out_indptr, other._out_indptr)
                 and np.array_equal(self._arc_dst, other._arc_dst))
 
     def __repr__(self) -> str:
@@ -202,6 +210,7 @@ def watts_strogatz(n: int, k: int, beta: float, rng: np.random.Generator) -> Gra
     # lattice edges in visiting order, each encoded as a*n + b with a < b
     far = ((near := np.arange(n, dtype=np.int64)) + np.arange(1, k // 2 + 1)[:, None]) % n
     codes = (np.minimum(near, far) * n + np.maximum(near, far)).ravel()
+    del near, far  # rewiring and the graph take only the codes along
     if beta > 0.0:
         _rewire(n, k // 2, codes, beta, rng)
     return Graph._of_codes(n, np.concatenate([codes, codes % n * n + codes // n]))
@@ -250,8 +259,9 @@ class _RawDraws:
     low half of a fresh word, caching its high half (``uinteger``); doubles
     leave the cache alone.  Words are drawn in blocks with ``random_raw``,
     each block's hits (words whose double is below a nonzero ``beta``)
-    found at once.  ``close`` leaves the stream at its start plus the words
-    read, with the cache the scalar calls would leave.
+    found at once; a new block keeps, as uint64, only the words not yet read
+    before it.  ``close`` leaves the stream at its start plus the words read,
+    with the cache the scalar calls would leave.
     """
 
     def __init__(self, rng: np.random.Generator, beta: float = 0.0):
@@ -263,14 +273,17 @@ class _RawDraws:
         self.start = self.bits.state
         self.cached, self.half = self.start["has_uint32"], self.start["uinteger"]
         self.beta = beta
-        self.words, self.hits, self.pos = [], [], 0  # pos: words read so far
+        # words[0] is word ``base`` of the stream; ``pos`` words are read, ``end`` drawn
+        self.words, self.hits, self.pos, self.end, self.base = None, [], 0, 0, 0
 
     def _draw(self, size: int) -> None:
         block = self.bits.random_raw(size)
         if self.beta:  # no double is below 0.0
             hits = np.flatnonzero((block >> 11) * 2.0 ** -53 < self.beta)
-            self.hits += (hits + len(self.words)).tolist()
-        self.words += block.tolist()
+            self.hits += (hits + self.end).tolist()
+        if self.pos < self.end:  # carry over the words not yet read
+            block = np.concatenate([self.words[self.pos - self.base:], block])
+        self.words, self.base, self.end = memoryview(block), self.pos, self.end + size
 
     def misses(self, limit: int) -> int:
         """Read doubles up to the first hit, at most ``limit`` of them, and
@@ -281,20 +294,20 @@ class _RawDraws:
             if h < len(self.hits) and self.hits[h] < end:
                 self.pos = self.hits[h] + 1
                 return self.hits[h] - start
-            if len(self.words) >= end:
+            if self.end >= end:
                 self.pos = end
                 return limit
             # the doubles left, and a half word per expected attempt
-            left = end - len(self.words)
+            left = end - self.end
             self._draw(left + int(left * self.beta / 2) + 64)
 
     def _uint32(self) -> int:
         if self.cached:
             self.cached = 0
             return self.half
-        if self.pos == len(self.words):  # blocks of 1, 1, 2, 4, ... then 64 words
-            self._draw(min(len(self.words) or 1, 64))
-        word = self.words[self.pos]
+        if self.pos == self.end:  # blocks of 1, 1, 2, 4, ... then 64 words
+            self._draw(min(self.end or 1, 64))
+        word = self.words[self.pos - self.base]
         self.pos += 1
         self.cached, self.half = 1, word >> 32
         return word & _LOW32
@@ -310,7 +323,7 @@ class _RawDraws:
         return m >> 32
 
     def close(self) -> None:
-        if self.pos < len(self.words):  # rewind the words read ahead
+        if self.pos < self.end:  # rewind the words read ahead
             self.bits.state = self.start
             self.bits.advance(self.pos)
         # random_raw keeps the cache, and advance clears it
@@ -384,9 +397,10 @@ def save_edge_list(g: Graph, sink: IO[str]) -> None:
     """Write ``g`` to the open text handle ``sink`` in the edge-list text
     format (header n, then "v u" lines), one block of arcs at a time."""
     sink.write(f"{g.n}\n")
+    src = g._arc_sources()
     for start in range(0, g.arc_count, _SAVE_BLOCK):
         block = slice(start, start + _SAVE_BLOCK)
-        sink.write("".join(f"{v} {u}\n" for v, u in zip(g._arc_src[block].tolist(),
+        sink.write("".join(f"{v} {u}\n" for v, u in zip(src[block].tolist(),
                                                           g._arc_dst[block].tolist())))
 
 

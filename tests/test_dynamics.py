@@ -437,6 +437,19 @@ class TestRun:
             assert traj.steps_executed == 2_000_000
             assert traj.final_infected == 1
 
+    def test_async_run_holds_under_4_bytes_per_arc(self):
+        # the kernel walks the graph's own arc array; a list copy of every arc
+        # took 42 bytes an arc here, and a list of the CSR offsets another 2
+        g = watts_strogatz(10_000, 20, 0.05, rng_for(57))
+        run(fixed(0.5), g, SeedSet((0, 1)), ASYNC_SINGLE_NODE, 10, rng_for(58))  # warm up
+        tracemalloc.start()
+        try:
+            run(fixed(0.5), g, SeedSet((0, 1)), ASYNC_SINGLE_NODE, 10, rng_for(58))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.arc_count
+
 
 def through_package(model, g, seeds, scheme, cap, label, stepwise):
     """End step, infection times and bit-generator state of ``run``, or of a

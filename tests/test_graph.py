@@ -1,6 +1,7 @@
 """Graph construction, generators, and edge-list persistence."""
 from __future__ import annotations
 
+import hashlib
 import io
 import tracemalloc
 
@@ -213,6 +214,19 @@ class TestWattsStrogatz:
         assert a.arc_count == 10000
         assert arc_set(a) == arc_set(b)
 
+    def test_build_holds_under_48_bytes_per_lattice_edge(self):
+        # rewiring keeps its raw words as uint64 and Graph keeps one int64 per
+        # arc: 38 bytes an edge here, where Python-int words and a per-arc
+        # source array took 86
+        watts_strogatz(200, 10, 0.1, rng_for(7))  # warm up
+        tracemalloc.start()
+        try:
+            g = watts_strogatz(20_000, 10, 0.1, rng_for(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * g.arc_count // 2
+
     def test_rewiring_changes_lattice(self):
         g = watts_strogatz(40, 4, 1.0, rng_for(4))
         lattice = watts_strogatz(40, 4, 0.0, rng_for(5))
@@ -311,10 +325,11 @@ class TestGeneratedGraphsSkipValidation:
     def assert_as_validated(g: Graph) -> None:
         again = Graph(g.n, g.arcs)
         assert g == again and g.arc_count == again.arc_count
-        for name in ("_arc_src", "_arc_dst", "_out_indptr", "_in_degrees"):
+        for name in ("_arc_dst", "_out_indptr", "_in_degrees"):  # all Graph keeps
             ours, theirs = getattr(g, name), getattr(again, name)
             assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
             assert not ours.flags.writeable
+        assert g.arcs.dtype == again.arcs.dtype and np.array_equal(g.arcs, again.arcs)
 
     @pytest.mark.parametrize("n,k,beta", [
         (40, 4, 0.0), (40, 4, 0.02), (300, 10, 0.02), (40, 6, 1.0),
@@ -336,6 +351,29 @@ class TestGeneratedGraphsSkipValidation:
     def test_complete_graph_and_directed_cycle(self, n):
         self.assert_as_validated(complete_graph(n))
         self.assert_as_validated(directed_cycle(n))
+
+    def test_sources_derived_from_the_csr_match_an_explicit_arc_list(self):
+        # Graph keeps no per-arc source: arcs, fingerprint(), == and the saved
+        # text derive it from the out-CSR, and must be what a sorted list of
+        # (v, u) pairs gives, taken through Graph's sort and checks
+        graphs = [watts_strogatz(60, 6, 0.3, rng_for(15)), barabasi_albert(50, 2, rng_for(16)),
+                  complete_graph(5), directed_cycle(7), Graph(6, [(4, 1), (0, 5), (4, 0)]),
+                  Graph(3, [])]
+        for g in graphs:
+            pairs = [(v, int(u)) for v in range(g.n) for u in g.out_neighbors(v)]
+            shuffled = [pairs[i] for i in rng_for(17).permutation(len(pairs))]
+            again = Graph(g.n, shuffled)
+            expected = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            digest = hashlib.sha256(f"{g.n}\n".encode() + expected[:, 0].tobytes()
+                                    + expected[:, 1].tobytes()).hexdigest()[:16]
+            text = "".join([f"{g.n}\n"] + [f"{v} {u}\n" for v, u in pairs])
+            for h in (g, again):
+                assert h.arcs.dtype == np.int64 and np.array_equal(h.arcs, expected)
+                assert h.fingerprint() == digest
+                buf = io.StringIO()
+                save_edge_list(h, buf)
+                assert buf.getvalue() == text
+            assert g == again and again == g
 
 
 class TestEdgeList:
