@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curvefit import (build_reference_curves, fit_input, fit_series,
-                       load_reference_config, normalize_series)
+from .curvefit import (REFERENCE_CONFIG, build_reference_curves, fit_input,
+                       fit_series, normalize_series)
 from .experiment import (DEFAULT_METRICS, EnsembleResult, SimConfig,
                          config_from_dict, run_ensemble, run_graph, set_dotted,
                          sweep, sweep_axes, worker_count)
@@ -143,7 +143,7 @@ def _parse_override(text: str) -> tuple:
     return key, value
 
 
-def load_config_document(path: str, overrides) -> dict:
+def load_config_document(path: str | os.PathLike, overrides) -> dict:
     """Read a JSON config and apply dotted overrides in flag order."""
     try:  # a missing file is an OSError, which passes through
         doc = json.loads(Path(path).read_text(encoding="utf-8"),
@@ -161,7 +161,7 @@ def load_config_document(path: str, overrides) -> dict:
     return doc
 
 
-def parse_config(path: str, overrides=None) -> SimConfig:
+def parse_config(path: str | os.PathLike, overrides=None) -> SimConfig:
     return config_from_dict(load_config_document(path, overrides))
 
 
@@ -294,14 +294,7 @@ def cmd_fit(args) -> int:
         obs = normalize_series(fit_input(read_series_csv(args.series)))
     except ValueError as exc:
         raise ValueError(f"{args.series}: {exc}") from None
-    if args.config is not None:
-        reference = parse_config(args.config, args.set)
-    else:
-        if args.set:
-            raise ValueError("--set requires --config (there is no file "
-                             "to override when fitting against the "
-                             "packaged reference)")
-        reference = load_reference_config()
+    reference = parse_config(args.config or REFERENCE_CONFIG, args.set)
     curves = build_reference_curves(reference, workers=worker_count())
     result = fit_series(obs, curves)
     outdir = _prepare_outdir(args.out)

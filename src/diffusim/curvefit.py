@@ -17,14 +17,16 @@ as numbers, so the config fully defines them.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .dynamics import GLOBAL, GROUP, MODEL_KINDS
-from .experiment import _CURVE_BLOCK, SimConfig, _execute, config_from_dict
+from .experiment import _CURVE_BLOCK, SimConfig, _execute
+
+# The packaged config that reference curves regenerate from: fit's default --config.
+REFERENCE_CONFIG = Path(__file__).with_name("data") / "reference_config.json"
 
 # Deterministic starting lattice for the refinement: the time offsets are
 # OFFSET_POINTS evenly spaced values spanning +-L/4 of the reference curve
@@ -74,13 +76,6 @@ class ReferenceCurve:
         if any(np.any(np.diff(arr[lo:lo + _CURVE_BLOCK + 1]) < -1e-12)  # blocks share a step
                for lo in range(0, arr.size - 1, _CURVE_BLOCK)):
             raise ValueError("reference curve must be non-decreasing")
-
-
-def load_reference_config() -> SimConfig:
-    """The packaged config that reference curves regenerate from."""
-    text = resources.files("diffusim").joinpath("data/reference_config.json") \
-        .read_text(encoding="utf-8")
-    return config_from_dict(json.loads(text))
 
 
 def build_reference_curves(config: SimConfig, workers: int = 1) -> tuple:
@@ -170,9 +165,9 @@ def fit_series(obs, refs) -> FitResult:
     constant series is fit anyway but flagged low_confidence.
     """
     obs = fit_input(obs)
-    by_name = {ref.model: ref for ref in refs}
-    if set(by_name) != set(MODEL_KINDS):
+    if sorted(ref.model for ref in refs) != sorted(MODEL_KINDS):
         raise ValueError("expected exactly one reference curve per model")
+    by_name = {ref.model: ref for ref in refs}
 
     table = []
     for name in MODEL_KINDS:

@@ -13,13 +13,13 @@ Execution: ensembles, sweeps and fit's reference curves share one executor.
 Configs with the same dynamics key give the same ensemble, so it runs once
 and every one of them gets it.  A global run reads only n (its seeds and
 its rule see nothing else of the graph), so a global config's key is (n,
-scheme, seed_count, effective max_steps, master_seed, runs, metrics); a
-``file`` spec keeps the spec itself in place of n, since n, and any load
-error, come from the file.  Any other config is its own key.  Configs that
-share a graph key (graph spec, master_seed, regenerate flag) draw the
-identical graph for every run, so they run together, run-major: run i's
-graph is built once and every config with at least i+1 runs uses it.  One
-call, a sweep's cells or the three models of a fit, uses one process pool.
+scheme, seed_count, effective max_steps, master_seed, runs, metrics).  A
+global config on a ``file`` graph, whose n and any load error come from the
+file, is its own key, like any other config.  Configs that share a graph
+key (graph spec, master_seed, regenerate flag) draw the identical graph for
+every run, so they run together, run-major: run i's graph is built once and
+every config with at least i+1 runs uses it.  One call, a sweep's cells or
+the three models of a fit, uses one process pool.
 Since records depend only on (config, run_index), none of this changes a result.
 
 Ensemble statistics exclude censored runs from mean/std/min/max and tally
@@ -339,15 +339,11 @@ def run_ensemble(config: SimConfig, workers: int = 1,
 
 def _dynamics_key(config: SimConfig):
     """What a config's records are a function of (see the module docstring)."""
-    if config.model.kind != "global":
-        return config
     spec = config.graph
-    if spec.generator == "file":
-        n, cap = spec, config.max_steps
-    else:
-        n, cap = spec.n, config.effective_max_steps(spec.n)
-    return (n, config.scheme, config.seed_count, cap, config.master_seed,
-            config.runs, config.metrics)
+    if config.model.kind != "global" or spec.generator == "file":
+        return config
+    return (spec.n, config.scheme, config.seed_count, config.effective_max_steps(spec.n),
+            config.master_seed, config.runs, config.metrics)
 
 
 def _execute(configs, workers: int, collect_curves: bool = False, std: bool = True):

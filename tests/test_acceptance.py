@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from diffusim import dynamics
-from diffusim.curvefit import (build_reference_curves, fit_series,
-                               load_reference_config, normalize_series)
+from diffusim.curvefit import (REFERENCE_CONFIG, build_reference_curves,
+                               fit_series, normalize_series)
 from diffusim.dynamics import GLOBAL, GROUP, SeedSet, fixed
 from diffusim.experiment import SimConfig, run_ensemble
 from diffusim.graph import Graph, GraphSpec
 from diffusim.metrics import Trajectory
-from diffusim.cli import main
+from diffusim.cli import main, parse_config
 
 from conftest import make_random_instance, rng_for
 from kernel_reference import infection_probability
@@ -217,7 +217,7 @@ class TestAcceptance:
         """Reference curves from the packaged config, 2% Gaussian noise,
         100 trials per model: the generating model must win at least 95
         classifications per model."""
-        refs = build_reference_curves(load_reference_config())
+        refs = build_reference_curves(parse_config(REFERENCE_CONFIG))
         rng = np.random.default_rng(777)
         for ref in refs:
             hits = 0

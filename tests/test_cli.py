@@ -634,9 +634,8 @@ class TestSeriesInput:
 class TestFitCommand:
     def series_from_curve(self, tmp_path, model="global"):
         """A noiseless series generated by one of the reference models."""
-        from diffusim.curvefit import (build_reference_curves,
-                                       load_reference_config)
-        refs = build_reference_curves(load_reference_config())
+        from diffusim.curvefit import REFERENCE_CONFIG, build_reference_curves
+        refs = build_reference_curves(parse_config(REFERENCE_CONFIG))
         curve = next(r.curve for r in refs if r.model == model)
         path = tmp_path / "series.csv"
         lines = ["t,value"] + [f"{t},{v}" for t, v in enumerate(curve.tolist())]
@@ -665,12 +664,31 @@ class TestFitCommand:
         assert code == 0
         assert (out / "fit.csv").exists()
 
-    def test_set_without_config_rejected(self, tmp_path, capsys):
+    def test_set_without_config_overrides_the_packaged_reference(self, tmp_path):
         series = self.series_from_curve(tmp_path)
-        code = main(["fit", "--series", str(series), "--out",
-                     str(tmp_path / "out"), "--set", "runs=2"])
+        common = ["fit", "--series", str(series), "--set", "runs=2"]
+        assert main(common + ["--out", str(tmp_path / "default")]) == 0
+        assert main(common + ["--config", str(cli.REFERENCE_CONFIG),
+                              "--out", str(tmp_path / "named")]) == 0
+        default = (tmp_path / "default" / "fit.csv").read_bytes()
+        assert default == (tmp_path / "named" / "fit.csv").read_bytes()
+        # runs=2 took effect: the full 30-run reference fits to other bytes
+        assert main(["fit", "--series", str(series),
+                     "--out", str(tmp_path / "full")]) == 0
+        assert default != (tmp_path / "full" / "fit.csv").read_bytes()
+
+    def test_packaged_reference_with_a_repeated_key_is_rejected(self, tmp_path, capsys,
+                                                                monkeypatch):
+        series = self.series_from_curve(tmp_path)
+        text = cli.REFERENCE_CONFIG.read_text(encoding="utf-8")
+        bad = tmp_path / "reference_config.json"
+        bad.write_text(text.replace("{", '{"runs": 2, ', 1), encoding="utf-8")
+        monkeypatch.setattr(cli, "REFERENCE_CONFIG", bad)
+        code = main(["fit", "--series", str(series), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "--set requires --config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(bad) in err and "duplicate key 'runs'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_short_series_rejected(self, tmp_path, capsys, monkeypatch):
         def no_simulation(*args, **kwargs):

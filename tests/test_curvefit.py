@@ -17,15 +17,16 @@ from diffusim import curvefit
 from diffusim.dynamics import GLOBAL, GROUP, fixed
 from diffusim.experiment import config_to_dict, config_from_dict, run_ensemble
 from diffusim.graph import directed_cycle, save_edge_list
-from diffusim.curvefit import (ReferenceCurve, build_reference_curves,
-                               fit_series, load_reference_config,
+from diffusim.cli import parse_config
+from diffusim.curvefit import (REFERENCE_CONFIG, ReferenceCurve,
+                               build_reference_curves, fit_series,
                                normalize_series)
 from test_golden import _fit_csv
 
 
 @pytest.fixture(scope="module")
 def reference_config():
-    return load_reference_config()
+    return parse_config(REFERENCE_CONFIG)
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +306,9 @@ class TestFitSeries:
         duplicated = (refs[0], refs[0], refs[1])
         with pytest.raises(ValueError, match="one reference curve per model"):
             fit_series(np.linspace(0, 1, 10), duplicated)
+        repeated = (*refs, refs[0])  # every kind present, fixed twice
+        with pytest.raises(ValueError, match="^expected exactly one reference curve per model$"):
+            fit_series(np.linspace(0, 1, 10), repeated)
 
 
 def _has_avx2() -> bool:
