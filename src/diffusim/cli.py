@@ -295,8 +295,7 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.series}: {exc}") from None
     reference = parse_config(args.config or REFERENCE_CONFIG, args.set)
-    curves = build_reference_curves(reference, workers=worker_count())
-    result = fit_series(obs, curves)
+    result = fit_series(obs, build_reference_curves(reference, workers=worker_count()))
     outdir = _prepare_outdir(args.out)
     rows = [[m.model, m.sse, m.time_scale, m.time_offset, m.amplitude,
              m.model == result.best_model] for m in result.table]

@@ -78,24 +78,33 @@ class ReferenceCurve:
             raise ValueError("reference curve must be non-decreasing")
 
 
-def build_reference_curves(config: SimConfig, workers: int = 1) -> tuple:
+def build_reference_curves(config: SimConfig, workers: int = 1):
     """One mean adoption curve per model, all else equal, deterministic given
     master_seed.  The config must use the fixed model, which pins the
     transmission probability; group and global reuse every other field.  The
     three ensembles are one call of experiment's executor, so each run's graph
-    is built once for all three, and only their means are kept.  Raises the
-    first failure in model order.
+    is built once for all three.  Every run is done, and the first model's
+    failure raised, before this returns an iterator of the curves in model
+    order; each mean is accumulated only when the iterator reaches it.
     """
     if config.model.kind != "fixed":
         raise ValueError("reference config must use the fixed model so the "
                          "transmission probability is pinned")
     models = (config.model, GROUP, GLOBAL)
-    done = dict(_execute([replace(config, model=m) for m in models], workers, True, std=False))
-    for i in range(len(models)):  # read once the executor, and any pool, is done
-        if isinstance(done[i], Exception):
-            raise done[i]
-    return tuple(ReferenceCurve(model=m.kind, curve=done[i].curve.mean_fraction)
-                 for i, m in enumerate(models))
+    curves = _curves(models, _execute([replace(config, model=m) for m in models],
+                                      workers, True, std=False))
+    next(curves)  # the three share one graph key, so every run is in with the first
+    return curves
+
+
+def _curves(models, results):
+    for position, result in results:
+        if isinstance(result, Exception):
+            raise result
+        if position == 0:
+            yield  # where build_reference_curves stops
+        yield ReferenceCurve(model=models[position].kind, curve=result.curve.mean_fraction)
+        del result  # before the next mean is accumulated
 
 
 @dataclass(frozen=True)
@@ -117,17 +126,20 @@ class FitResult:
     low_confidence: bool = False
 
 
+def _interp(x: np.ndarray, curve: np.ndarray) -> np.ndarray:
+    """np.interp(x, np.arange(curve.size), curve) by its steps, byte for byte, without the grid."""
+    last = curve.size - 1
+    x = np.clip(x, 0.0, last)
+    k = np.minimum(x.astype(np.intp), last - 1)  # floor, as x >= 0
+    return np.where(x == last, curve[last], (curve[k + 1] - curve[k]) * (x - k) + curve[k])
+
+
 def _fit_one(obs: np.ndarray, curve: np.ndarray) -> tuple:
     length = curve.size
     t = np.arange(obs.size)
 
     def _sse(a, b, c):  # np.sum, not BLAS: no CPU kernel or thread count moves it
-        at = a * t + b
-        # only the steps `at` reaches: the whole curve's bytes (its ends still clamp)
-        # without a grid as long as the curve, or np.interp's copy of a frozen one
-        lo = min(max(int(at.min()), 0), length - 1)
-        hi = max(min(int(at.max()) + 2, length), lo + 1)
-        diff = obs - c * np.interp(at, np.arange(lo, hi, dtype=np.float64), curve[lo:hi])
+        diff = obs - c * _interp(a * t + b, curve)
         return float(np.sum(diff * diff))
 
     offsets = np.linspace(-length / 4.0, length / 4.0, OFFSET_POINTS)
@@ -161,20 +173,18 @@ def fit_series(obs, refs) -> FitResult:
     """Fit a normalized observed series against the reference curves.
 
     ``obs`` is a normalized series (see normalize_series) that passes
-    fit_input; ``refs`` is the tuple from build_reference_curves.  A
-    constant series is fit anyway but flagged low_confidence.
+    fit_input; ``refs`` is any iterable of ReferenceCurve, one per model,
+    each fitted as it arrives.  A constant series is fit anyway but
+    flagged low_confidence.
     """
     obs = fit_input(obs)
-    if sorted(ref.model for ref in refs) != sorted(MODEL_KINDS):
-        raise ValueError("expected exactly one reference curve per model")
-    by_name = {ref.model: ref for ref in refs}
-
     table = []
-    for name in MODEL_KINDS:
-        sse, a, b, c = _fit_one(obs, by_name[name].curve)
-        table.append(ModelFit(model=name, sse=sse, time_scale=a,
-                              time_offset=b, amplitude=c))
-    best = min(table, key=lambda m: (m.sse, MODEL_KINDS.index(m.model)))
-    low_confidence = bool(np.all(obs == obs[0]))
+    for ref in refs:  # dropped before the next is drawn
+        table.append(ModelFit(ref.model, *_fit_one(obs, ref.curve)))
+        del ref
+    if sorted(m.model for m in table) != sorted(MODEL_KINDS):
+        raise ValueError("expected exactly one reference curve per model")
+    table.sort(key=lambda m: MODEL_KINDS.index(m.model))
+    best = min(table, key=lambda m: m.sse)  # the first of equals: fixed, then group
     return FitResult(best_model=best.model, table=tuple(table),
-                     low_confidence=low_confidence)
+                     low_confidence=bool(np.all(obs == obs[0])))

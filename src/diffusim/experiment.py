@@ -398,6 +398,7 @@ def _execute(configs, workers: int, collect_curves: bool = False, std: bool = Tr
                               _ensemble(configs[position], items, collect_curves, std))
                     for sharer in sharers[position]:
                         yield sharer, result
+                    del items, result  # held by no frame while the next is built
 
 
 def _ensemble(config: SimConfig, outputs, collect_curves: bool, std: bool) -> EnsembleResult:

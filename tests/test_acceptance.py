@@ -217,7 +217,7 @@ class TestAcceptance:
         """Reference curves from the packaged config, 2% Gaussian noise,
         100 trials per model: the generating model must win at least 95
         classifications per model."""
-        refs = build_reference_curves(parse_config(REFERENCE_CONFIG))
+        refs = tuple(build_reference_curves(parse_config(REFERENCE_CONFIG)))
         rng = np.random.default_rng(777)
         for ref in refs:
             hits = 0

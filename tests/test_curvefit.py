@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import diffusim
-from diffusim import curvefit
+from diffusim import curvefit, experiment
 from diffusim.dynamics import GLOBAL, GROUP, fixed
 from diffusim.experiment import config_to_dict, config_from_dict, run_ensemble
 from diffusim.graph import directed_cycle, save_edge_list
@@ -31,7 +32,7 @@ def reference_config():
 
 @pytest.fixture(scope="module")
 def refs(reference_config):
-    return build_reference_curves(reference_config)
+    return tuple(build_reference_curves(reference_config))
 
 
 class TestNormalizeSeries:
@@ -92,7 +93,7 @@ class TestReferenceCurve:
             ReferenceCurve("fixed", [0.0, bad, 1.0])
 
     def test_two_dimensional_curve_rejected(self):
-        # each row would pass the range and order checks; np.interp needs 1-D
+        # each row would pass the range and order checks; the fit interpolates 1-D
         with pytest.raises(ValueError, match="^reference curve needs a 1-D array "
                                              "of at least 2 points$"):
             ReferenceCurve("fixed", [[0.0, 0.5], [0.5, 1.0]])
@@ -149,7 +150,7 @@ class TestReferenceBuild:
     def traced_peak(config) -> tuple:
         tracemalloc.start()
         try:
-            refs = build_reference_curves(config)
+            refs = tuple(build_reference_curves(config))  # all three held, as before
             return tracemalloc.get_traced_memory()[1], refs
         finally:
             tracemalloc.stop()
@@ -203,14 +204,14 @@ def best_row(result):
 
 
 class TestFitSeries:
-    def test_interpolating_the_reached_steps_gives_the_whole_curves_bytes(self, monkeypatch):
-        real, calls = np.interp, []
+    def test_every_trial_interpolates_np_interps_bytes_on_the_whole_grid(self, monkeypatch):
+        real, calls = curvefit._interp, []
 
-        def spy(x, xp, fp):
-            calls.append((x, real(x, xp, fp)))
-            return calls[-1][1]
+        def spy(x, curve):
+            calls.append((x, curve, real(x, curve)))
+            return calls[-1][2]
 
-        monkeypatch.setattr(np, "interp", spy)
+        monkeypatch.setattr(curvefit, "_interp", spy)
         rng = np.random.default_rng(12)
         # curves shorter and longer than the series, with plateaus; points past
         # both ends, and on whole steps (an offset of a 400-step curve is a
@@ -222,8 +223,53 @@ class TestFitSeries:
             curvefit._fit_one(rng.random(size), curve)
             whole = np.arange(length, dtype=np.float64)
             assert len(calls) > 100
-            for x, y in calls:
-                assert y.tobytes() == real(x, whole, curve).tobytes()
+            for x, seen, y in calls:
+                assert seen is curve
+                assert y.tobytes() == np.interp(x, whole, curve).tobytes()
+
+    @pytest.mark.parametrize("length", [2, 3, 7, 1000])
+    def test_interpolation_at_the_ends_and_on_whole_steps(self, length):
+        rng = np.random.default_rng(length)
+        curve = np.sort(rng.random(length))
+        last = float(length - 1)
+        x = np.concatenate([
+            [-1e300, -5.0, -0.5, -1e-300, -0.0, 0.0, last, last + 1e-9, last + 0.5, 1e300],
+            np.arange(length, dtype=np.float64),  # every whole step, L - 1 included
+            np.nextafter(last, 0.0) - np.arange(3),  # just below the last steps
+            rng.uniform(-2.0, length + 1.0, 500),
+        ])
+        y = curvefit._interp(x, curve)
+        assert y.dtype == np.float64 and y.shape == x.shape
+        assert y.tobytes() == np.interp(x, np.arange(length, dtype=np.float64), curve).tobytes()
+        assert np.all(y[x >= last] == curve[-1]) and np.all(y[x <= 0.0] == curve[0])
+
+    def test_fit_holds_one_reference_curve_at_a_time(self, reference_config, refs,
+                                                     monkeypatch):
+        # (ReferenceCurves, mean arrays under them) alive at each call: none
+        # while a mean is accumulated and one while it is fitted (building
+        # all three first held three at every fit)
+        live, seen = [], []
+        post_init, fit_one = ReferenceCurve.__post_init__, curvefit._fit_one
+        accumulate = experiment._accumulate_curve
+
+        def tracked(ref):
+            post_init(ref)
+            live.append((weakref.ref(ref), weakref.ref(ref.curve.base)))
+
+        def counted(call, name):
+            def wrapper(*args, **kwargs):
+                seen.append((name, *(sum(pair[i]() is not None for pair in live)
+                                     for i in (0, 1))))
+                return call(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ReferenceCurve, "__post_init__", tracked)
+        monkeypatch.setattr(curvefit, "_fit_one", counted(fit_one, "fit"))
+        monkeypatch.setattr(experiment, "_accumulate_curve", counted(accumulate, "mean"))
+        obs = normalize_series(refs[2].curve[::3])
+        result = fit_series(obs, build_reference_curves(reference_config))
+        assert seen == [("mean", 0, 0), ("fit", 1, 1)] * 3
+        assert result == fit_series(obs, refs)
 
     def test_self_fit_is_exact(self, refs):
         for ref in refs:
