@@ -109,8 +109,12 @@ class Graph:
 
     @classmethod
     def _of_codes(cls, n: int, code: np.ndarray) -> Graph:
-        """A generator's graph of arc codes valid by construction: sorted, unchecked."""
-        code.sort()
+        """The graph of arc codes in range and loop-free, such as a generator's,
+        sorted in place unless they already increase; ValueError if one repeats."""
+        if not (code[1:] > code[:-1]).all():
+            code.sort()
+            if (code[1:] == code[:-1]).any():
+                raise ValueError("an arc code repeats")
         return object.__new__(cls)._assemble(n, code)
 
     def _assemble(self, n: int, code: np.ndarray) -> Graph:
@@ -408,42 +412,57 @@ def load_edge_list(source: PathOrFile) -> Graph:
     """Parse the edge-list text format back into a Graph.  An EdgeListError
     names the line of malformed text, else that of the arc Graph rejects.
 
+    A path is read as ``Path.read_text`` reads it, so CR and CRLF line ends
+    read as LF; a handle's text is read once and its line ends are kept.
     A plain text (a header of ASCII digits on the first line, then only
-    ASCII digits, spaces, tabs and LFs) that holds a valid graph is read by
-    numpy's C parser.  Everything else goes to the line parser, which
-    accepts the same texts and alone names the offending line.
+    ASCII digits, spaces, tabs and LFs) that holds a valid graph is read in
+    blocks of whole lines by numpy's C parser, into one array of arc codes.
+    Everything else goes to the line parser, which accepts the same texts
+    and alone names the offending line.
     """
     if hasattr(source, "read"):
         text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    plain = _plain_arcs(text)
-    if plain is not None:
-        try:
-            return Graph(*plain)
-        except (ArcError, MemoryError):
-            pass  # the line parser names the arc's or the header's line
-    return _load_lines(text)
+        return _load_blocks(lambda: io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8",
+                                                     newline="\n")) or _load_lines(text)
+    return (_load_blocks(lambda: open(source, encoding="utf-8"))
+            or _load_lines(Path(source).read_text(encoding="utf-8")))
 
 
-def _plain_arcs(text: str) -> tuple[int, np.ndarray] | None:
-    """The node count and arc array of a plain edge list, else None."""
-    header = text.partition("\n")[0]
-    # MAX_NODES has 10 digits; a longer header goes to the line parser
-    if not (text.isascii() and header.isdigit() and len(header) <= 10):
+_LOAD_BLOCK = 1 << 16  # characters read per block, before the rest of its last line
+
+
+def _blocks(handle: IO[str]) -> Iterable[str]:
+    """The rest of ``handle``'s text in blocks of whole lines."""
+    return iter(lambda: handle.read(_LOAD_BLOCK) + handle.readline(), "")
+
+
+def _load_blocks(open_text) -> Graph | None:
+    """The graph of a plain edge list, else None.  The text is read twice: once
+    to count its LFs, which bound the arcs, then to write each arc's code
+    v*n + u into one array of that many, a block at a time."""
+    try:  # a decode error, an id beyond int64, a changing column count, a repeat
+        with open_text() as handle:
+            codes = np.empty(sum(block.count("\n") for block in _blocks(handle)), np.int64)
+        with open_text() as handle:
+            header = handle.readline().removesuffix("\n")
+            # MAX_NODES has 10 digits; a longer header goes to the line parser
+            if not (header.isascii() and header.isdigit() and len(header) <= 10
+                    and 1 <= int(header) <= MAX_NODES):
+                return None
+            n, m = int(header), 0
+            for block in _blocks(handle):
+                if block.encode("ascii").translate(None, b"0123456789 \t\n"):
+                    return None
+                if block.isspace():  # loadtxt warns on no rows
+                    continue
+                arcs = np.loadtxt(block.splitlines(), dtype=np.int64, comments=None, ndmin=2)
+                if arcs.shape[1] != 2 or arcs.max() >= n or (arcs[:, 0] == arcs[:, 1]).any():
+                    return None
+                codes[m:m + len(arcs)] = arcs[:, 0] * n + arcs[:, 1]
+                m += len(arcs)
+        return Graph._of_codes(n, codes[:m])
+    except (ValueError, MemoryError):
         return None
-    n = int(header)
-    data = text.encode("ascii")
-    if not 1 <= n <= MAX_NODES or data.translate(None, b"0123456789 \t\n"):
-        return None
-    if len(data.translate(None, b" \t\n")) == len(header):  # loadtxt warns on no rows
-        return n, np.zeros((0, 2), dtype=np.int64)
-    try:  # a changing column count, or an id beyond int64
-        arcs = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None,
-                          skiprows=1, ndmin=2)
-    except ValueError:
-        return None
-    return (n, arcs) if arcs.shape[1] == 2 else None
 
 
 def decimal_int(text: str) -> int | None:

@@ -448,66 +448,130 @@ def _no_line_parser(text):
     raise AssertionError("reached the line parser")
 
 
-class TestEdgeListReaders:
-    """numpy reads plain edge lists; the line parser takes every other text,
-    so what is accepted, each message and each line number stay the same."""
+def _outcome(source):
+    """The arc set ``load_edge_list`` reads from ``source``, or its EdgeListError's message."""
+    try:
+        return arc_set(load_edge_list(source))
+    except EdgeListError as exc:
+        return str(exc)
 
-    @pytest.mark.parametrize("text", [
-        "3\n0\t1\n1 2\n", "3\n0  1 \t\n\t1\t 2  \n", "3\n0 1\n \t\n\n1 2\n",
-        "3\n0 1\n1 2", "4\n", "4", "4\n\n\n", "4\n \t\n", "8\n007 0003\n0 4\n",
-        "0003\n2 0\n0 1\n",
-    ])
+
+# Texts the block reader takes whole, without the line parser
+PLAIN_TEXTS = [
+    "3\n0\t1\n1 2\n", "3\n0  1 \t\n\t1\t 2  \n", "3\n0 1\n \t\n\n1 2\n",
+    "3\n0 1\n1 2", "4\n", "4", "4\n\n\n", "4\n \t\n", "8\n007 0003\n0 4\n",
+    "0003\n2 0\n0 1\n",
+]
+# n = 10 with each arc but the loops once, ascending, on lines 2 to 91
+DENSE = "10\n" + "".join(f"{v} {u}\n" for v in range(10) for u in range(10) if v != u)
+LONG_PLAIN_TEXTS = {
+    "dense": DENSE,
+    "no final LF": DENSE[:-1],
+    "unsorted": "10\n" + "".join(reversed(DENSE.splitlines(keepends=True)[1:])),
+    "blank lines": DENSE.replace("\n", "\n\n\n \t\n", 3) + "\n" * 100 + "\t \n" * 30,
+}
+# Texts the line parser takes, and what it gives: their arcs or their message
+DECLINED_TEXTS = [
+    ("3\r\n0 1\r\n1 2\r\n", [(0, 1), (1, 2)]),
+    ("3\r0 1\n", "line 1: header is not an integer: '3\\r0 1'"),
+    ("3\n0 1\r1 2\n", "line 2: expected 'v u', got '0 1\\r1 2'"),
+    ("3\n+1 2\n", [(1, 2)]),
+    ("+3\n0 1\n", [(0, 1)]),
+    ("3\n-1 2\n", "line 2: arc (-1, 2): out of range for header n=3"),
+    ("-3\n", "line 1: header node count must be >= 1"),
+    ("20\n1_0 2\n", "line 2: non-integer endpoint in '1_0 2'"),
+    ("1_0\n0 9\n", "line 1: header is not an integer: '1_0'"),
+    ("1_1\n0 1\n", "line 1: header is not an integer: '1_1'"),
+    ("11\n0 1_0\n", "line 2: non-integer endpoint in '0 1_0'"),
+    ("3\n+-1 2\n", "line 2: non-integer endpoint in '+-1 2'"),
+    ("\u0663\n0 1\n", "line 1: header is not an integer: '\u0663'"),
+    ("\u00b3\n0 1\n", "line 1: header is not an integer: '\u00b3'"),
+    ("3\n\u0662 1\n", "line 2: non-integer endpoint in '\u0662 1'"),
+    ("3\n0 \uff11\n", "line 2: non-integer endpoint in '0 \uff11'"),
+    ("3\n\u00b2 1\n", "line 2: non-integer endpoint in '\u00b2 1'"),
+    ("3\n0 9223372036854775808\n",
+     "line 2: arc (0, 9223372036854775808): out of range for header n=3"),
+    ("3\n0 1\n1 18446744073709551616\n",
+     "line 3: arc (1, 18446744073709551616): out of range for header n=3"),
+    ("3\n0\n", "line 2: expected 'v u', got '0'"),
+    ("3\n0 1\n1\n", "line 3: expected 'v u', got '1'"),
+    ("3\n0 1 2\n", "line 2: expected 'v u', got '0 1 2'"),
+    ("3\n0 1\n1 2 0\n", "line 3: expected 'v u', got '1 2 0'"),
+    ("3\n0 1 2\n1 2 0\n", "line 2: expected 'v u', got '0 1 2'"),
+    ("\n3\n0 1\n", [(0, 1)]),
+    (" 3\n0 1\n", [(0, 1)]),
+    ("00000000003\n0 1\n", [(0, 1)]),
+    ("3\n0 1\x0b\n", [(0, 1)]),
+    ("3\n1 1\n", "line 2: arc (1, 1): self-loop"),
+    ("3\n0 1\n\n0 1\n", "line 4: arc (0, 1): duplicate"),
+    ("3\n0 1\n0 1\n2 2\n0 5\n", "line 5: arc (0, 5): out of range for header n=3"),
+    ("3\n1 1\n0 x\n", "line 3: non-integer endpoint in '0 x'"),
+    ("3037000500\n", "line 1: header node count must be <= 3037000499"),
+    ("1000000000000\n0 1\n", "line 1: header node count must be <= 3037000499"),
+    ("9" * 5000 + "\n", "line 1: header is not an integer: '" + "9" * 5000 + "'"),
+]
+LONG_DECLINED_TEXTS = {
+    "duplicate": (DENSE + "3 4\n", "line 92: arc (3, 4): duplicate"),
+    "out of range": (DENSE + "0 10\n", "line 92: arc (0, 10): out of range for header n=10"),
+    "three columns": (DENSE + "1 2 3\n", "line 92: expected 'v u', got '1 2 3'"),
+    "unsorted duplicate": (DENSE[:-4] + "5 0\n2 9\n",
+                           "line 91: arc (5, 0): duplicate"),
+}
+
+
+@pytest.fixture(params=[1, 7, 64, None])
+def load_block(request, monkeypatch):
+    """Characters per block of the edge-list reader: a few, or the default."""
+    if request.param:
+        monkeypatch.setattr(graph, "_LOAD_BLOCK", request.param)
+    return graph._LOAD_BLOCK
+
+
+class TestEdgeListReaders:
+    """numpy reads plain edge lists, in blocks of whole lines; the line parser
+    takes every other text, so what is accepted, each message and each line
+    number stay the same."""
+
+    @pytest.mark.parametrize("text", PLAIN_TEXTS + [
+        pytest.param(text, id=name) for name, text in LONG_PLAIN_TEXTS.items()])
     def test_plain_texts_read_as_the_line_parser_reads_them(self, monkeypatch, text):
         expected = graph._load_lines(text)
         monkeypatch.setattr(graph, "_load_lines", _no_line_parser)
         assert load_edge_list(io.StringIO(text)) == expected
 
-    @pytest.mark.parametrize("text, outcome", [
-        ("3\r\n0 1\r\n1 2\r\n", [(0, 1), (1, 2)]),
-        ("3\r0 1\n", "line 1: header is not an integer: '3\\r0 1'"),
-        ("3\n0 1\r1 2\n", "line 2: expected 'v u', got '0 1\\r1 2'"),
-        ("3\n+1 2\n", [(1, 2)]),
-        ("+3\n0 1\n", [(0, 1)]),
-        ("3\n-1 2\n", "line 2: arc (-1, 2): out of range for header n=3"),
-        ("-3\n", "line 1: header node count must be >= 1"),
-        ("20\n1_0 2\n", "line 2: non-integer endpoint in '1_0 2'"),
-        ("1_0\n0 9\n", "line 1: header is not an integer: '1_0'"),
-        ("1_1\n0 1\n", "line 1: header is not an integer: '1_1'"),
-        ("11\n0 1_0\n", "line 2: non-integer endpoint in '0 1_0'"),
-        ("3\n+-1 2\n", "line 2: non-integer endpoint in '+-1 2'"),
-        ("\u0663\n0 1\n", "line 1: header is not an integer: '\u0663'"),
-        ("\u00b3\n0 1\n", "line 1: header is not an integer: '\u00b3'"),
-        ("3\n\u0662 1\n", "line 2: non-integer endpoint in '\u0662 1'"),
-        ("3\n0 \uff11\n", "line 2: non-integer endpoint in '0 \uff11'"),
-        ("3\n\u00b2 1\n", "line 2: non-integer endpoint in '\u00b2 1'"),
-        ("3\n0 9223372036854775808\n",
-         "line 2: arc (0, 9223372036854775808): out of range for header n=3"),
-        ("3\n0 1\n1 18446744073709551616\n",
-         "line 3: arc (1, 18446744073709551616): out of range for header n=3"),
-        ("3\n0\n", "line 2: expected 'v u', got '0'"),
-        ("3\n0 1\n1\n", "line 3: expected 'v u', got '1'"),
-        ("3\n0 1 2\n", "line 2: expected 'v u', got '0 1 2'"),
-        ("3\n0 1\n1 2 0\n", "line 3: expected 'v u', got '1 2 0'"),
-        ("3\n0 1 2\n1 2 0\n", "line 2: expected 'v u', got '0 1 2'"),
-        ("\n3\n0 1\n", [(0, 1)]),
-        (" 3\n0 1\n", [(0, 1)]),
-        ("00000000003\n0 1\n", [(0, 1)]),
-        ("3\n0 1\x0b\n", [(0, 1)]),
-        ("3\n1 1\n", "line 2: arc (1, 1): self-loop"),
-        ("3\n0 1\n\n0 1\n", "line 4: arc (0, 1): duplicate"),
-        ("3\n0 1\n0 1\n2 2\n0 5\n", "line 5: arc (0, 5): out of range for header n=3"),
-        ("3\n1 1\n0 x\n", "line 3: non-integer endpoint in '0 x'"),
-        ("3037000500\n", "line 1: header node count must be <= 3037000499"),
-        ("1000000000000\n0 1\n", "line 1: header node count must be <= 3037000499"),
-        ("9" * 5000 + "\n", "line 1: header is not an integer: '" + "9" * 5000 + "'"),
-    ])
+    @pytest.mark.parametrize("text, outcome", DECLINED_TEXTS + [
+        pytest.param(*case, id=name) for name, case in LONG_DECLINED_TEXTS.items()])
     def test_declined_texts_behave_as_the_line_parser_says(self, text, outcome):
-        if isinstance(outcome, str):
-            with pytest.raises(EdgeListError) as info:
-                load_edge_list(io.StringIO(text))
-            assert str(info.value) == outcome
-        else:
-            assert arc_set(load_edge_list(io.StringIO(text))) == set(outcome)
+        assert _outcome(io.StringIO(text)) == (outcome if isinstance(outcome, str)
+                                               else set(outcome))
+
+    def test_every_case_reads_alike_in_small_blocks(self, load_block, monkeypatch):
+        for text, outcome in DECLINED_TEXTS + list(LONG_DECLINED_TEXTS.values()):
+            self.test_declined_texts_behave_as_the_line_parser_says(text, outcome)
+        plain = PLAIN_TEXTS + list(LONG_PLAIN_TEXTS.values())
+        expected = [graph._load_lines(text) for text in plain]
+        monkeypatch.setattr(graph, "_load_lines", _no_line_parser)
+        for text, g in zip(plain, expected):
+            assert load_edge_list(io.StringIO(text)) == g, (load_block, text)
+
+    def test_a_path_reads_cr_and_crlf_as_lf(self, load_block, tmp_path, monkeypatch):
+        path = tmp_path / "g.edges"
+        expected = graph._load_lines(LONG_PLAIN_TEXTS["blank lines"])
+        monkeypatch.setattr(graph, "_load_lines", _no_line_parser)
+        for end in ("\n", "\r\n", "\r"):
+            path.write_bytes(LONG_PLAIN_TEXTS["blank lines"].replace("\n", end).encode())
+            assert load_edge_list(path) == expected, (load_block, end)
+
+    def test_a_byte_that_is_not_utf8_is_named_as_read_text_names_it(self, load_block,
+                                                                      tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(DENSE.encode() + b"\xff1 2\n")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError) as info:
+            load_edge_list(path)
+        assert str(info.value) == str(whole.value)
+        assert f"byte 0xff in position {len(DENSE)}:" in str(info.value)
 
     def test_crlf_through_a_path_and_a_stream(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -523,7 +587,7 @@ class TestEdgeListReaders:
                 save_edge_list(g, handle)
             assert load_edge_list(path) == g
 
-    def test_loading_a_saved_file_takes_at_most_128_bytes_per_arc(self, tmp_path):
+    def test_loading_a_saved_file_holds_its_codes_and_one_block(self, tmp_path):
         g = watts_strogatz(8_000, 6, 0.1, rng_for(14))
         path = tmp_path / "g.edges"
         with path.open("w", encoding="utf-8") as handle:
@@ -535,7 +599,9 @@ class TestEdgeListReaders:
         finally:
             tracemalloc.stop()
         assert h == g and h.arc_count == 48_000
-        assert peak <= 128 * h.arc_count
+        # the arc codes, which become the destinations, the graph's two arrays
+        # of about n integers, and one block of text with its parsed lines
+        assert peak <= 8 * h.arc_count + 16 * h.n + 16 * graph._LOAD_BLOCK
 
     def test_saving_in_blocks_writes_the_same_bytes(self, tmp_path, monkeypatch):
         g = watts_strogatz(25, 4, 0.3, rng_for(10))
