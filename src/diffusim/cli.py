@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - invariant violations
+    except Exception as exc:  # invariant violations
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

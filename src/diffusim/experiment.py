@@ -11,16 +11,16 @@ dynamics draws.  Runs therefore commute: records are a pure function of
 
 Execution: ensembles, sweeps and fit's reference curves share one executor.
 Configs with the same dynamics key give the same ensemble, so it runs once
-and every one of them gets it.  A global run reads only n (its seeds and
-its rule see nothing else of the graph), so a global config's key is (n,
-scheme, seed_count, effective max_steps, master_seed, runs, metrics).  A
-global config on a ``file`` graph, whose n and any load error come from the
-file, is its own key, like any other config.  Configs that share a graph
-key (graph spec, master_seed, regenerate flag) draw the identical graph for
-every run, so they run together, run-major: run i's graph is built once and
-every config with at least i+1 runs uses it.  One call, a sweep's cells or
-the three models of a fit, uses one process pool.
-Since records depend only on (config, run_index), none of this changes a result.
+and every one of them gets it.  A global run reads only n, so a global
+config's key is (n, scheme, seed_count, effective max_steps, master_seed,
+runs, metrics), and a graph key of global configs alone builds no graph:
+its runs share one of n nodes and no arcs.  A ``file`` graph, whose n and
+any load error come from the file, is still loaded, and a global config on
+it is its own key.  Configs that share a graph key (graph spec,
+master_seed, regenerate flag) draw the identical graph for every run, so
+they run together, run-major: run i's graph is built once and every config
+with at least i+1 runs uses it.  One call, a sweep's cells or the three
+models of a fit, uses one process pool; none of this changes a result.
 
 Ensemble statistics exclude censored runs from mean/std/min/max and tally
 them separately; the coefficient of variation is reported only for a
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import hashlib
 import itertools
 import json
 import math
@@ -185,6 +184,7 @@ def set_dotted(doc: dict, dotted_key: str, value) -> None:
 
 def config_fingerprint(config: SimConfig) -> str:
     """Stable 16-hex-digit digest of the canonical config document."""
+    import hashlib  # here, so that a process that hashes nothing maps no OpenSSL
     payload = json.dumps(config_to_dict(config), sort_keys=True,
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -274,21 +274,30 @@ def run_graph(config: SimConfig, run_index: int) -> Graph:
         raise OSError(f"graph.path: {spec.path}: {exc.strerror}") from None
     except (EdgeListError, UnicodeDecodeError) as exc:
         raise ValueError(f"graph.path: {spec.path}: {exc}") from None
-    except MemoryError:
+    except MemoryError as exc:
+        raise _run_error(exc, spec) from None
+
+
+def _run_error(exc: Exception, spec: GraphSpec) -> Exception:
+    """``exc``, a MemoryError as the ValueError naming graph.path or graph.n."""
+    if isinstance(exc, MemoryError):
         key, value = ("path", spec.path) if spec.generator == "file" else ("n", spec.n)
-        raise ValueError(f"graph.{key}: {value} does not fit in memory") from None
+        exc = ValueError(f"graph.{key}: {value} does not fit in memory")
+    return exc
 
 
 def _run_group_chunk(configs, indices, collect_curves: bool):
     """Run ``indices`` of every config in one graph-key group, run-major.
 
     Each run's graph is built once and shared by the configs that have
-    that run (a shared graph once per chunk).  Returns per config
+    that run (a shared graph once per chunk); an all-global group on a
+    generated graph shares one of n nodes and no arcs.  Returns per config
     (outputs, error): the outputs of its runs in index order up to its
-    first failing run, whose exception is ``error`` (None if none failed).
+    first failing run, whose error is ``error`` (None if none failed).
     """
-    first = configs[0]
-    regenerate = first.graph.is_random and first.regenerate_graph_per_run
+    first, spec = configs[0], configs[0].graph
+    arc_free = spec.generator != "file" and all(c.model.kind == "global" for c in configs)
+    regenerate = spec.is_random and first.regenerate_graph_per_run and not arc_free
     outputs = [[] for _ in configs]
     errors = [None] * len(configs)
     g = None
@@ -299,16 +308,17 @@ def _run_group_chunk(configs, indices, collect_curves: bool):
             continue
         if g is None or regenerate:
             try:
-                g = run_graph(first, i)
-            except (ValueError, OSError) as exc:
+                g = (Graph._of_codes(spec.n, np.empty(0, np.int64)) if arc_free
+                     else run_graph(first, i))
+            except (ValueError, OSError, MemoryError) as exc:
                 for c in live:
-                    errors[c] = exc
+                    errors[c] = _run_error(exc, spec)
                 continue
         for c in live:
             try:
                 outputs[c].append(_execute_run(configs[c], g, i, collect_curves))
-            except (ValueError, OSError) as exc:
-                errors[c] = exc
+            except (ValueError, OSError, MemoryError) as exc:
+                errors[c] = _run_error(exc, spec)
     return list(zip(outputs, errors))
 
 

@@ -13,7 +13,6 @@ LF line endings.  Every integer is ASCII decimal, ``[+-]?[0-9]+``.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import inspect
 import io
 import numbers
@@ -164,6 +163,7 @@ class Graph:
 
     def fingerprint(self) -> str:
         """Stable 16-hex-digit digest of (n, arc set)."""
+        import hashlib  # here, so that a process that hashes nothing maps no OpenSSL
         h = hashlib.sha256(f"{self.n}\n".encode())
         h.update(self._arc_sources())  # the arrays' buffers, not copies of them
         h.update(self._arc_dst)

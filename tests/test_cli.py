@@ -206,6 +206,27 @@ class TestExitCodes:
             assert code == 1
             assert message in capsys.readouterr().err
 
+    def test_a_graph_too_large_to_build_runs_under_global_only(self, tmp_path, capsys):
+        # a global run reads only n, so the 10^12 arcs of complete(10^6) are
+        # never allocated; group needs them and exits 1
+        config = write_config(tmp_path / "c.json", model="global", runs=1, max_steps=10,
+                              graph={"type": "complete", "n": 10 ** 6})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "global")]) == 0
+        assert read_rows(tmp_path / "global" / "runs.csv")[1][-1] == "10"
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "group"),
+                     "--set", "model=group"]) == 1
+        assert capsys.readouterr().err == "error: graph.n: 1000000 does not fit in memory\n"
+        assert not (tmp_path / "group").exists()
+
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("an invariant broke")
+
+        monkeypatch.setattr(cli, "cmd_run", broken)
+        config = write_config(tmp_path / "c.json")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "internal error: an invariant broke\n"
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["run", "--out", "somewhere"]) == 1
         assert "error" in capsys.readouterr().err

@@ -276,7 +276,7 @@ class TestRunEnsemble:
 
     def test_fixed_graph_reuse_vs_regeneration(self, built_graphs):
         base = dict(graph=GraphSpec("watts_strogatz", n=40, k=4, beta=0.3),
-                    model=GLOBAL, master_seed=5, runs=6, metrics=(0.5,))
+                    model=GROUP, master_seed=5, runs=6, metrics=(0.5,))
         shared_config = SimConfig(regenerate_graph_per_run=False, **base)
         run_ensemble(shared_config)
         [shared] = built_graphs
@@ -621,7 +621,7 @@ class TestGroupedSweep:
         assert executed == ["global"] * 3  # runs, not 4 x runs
         assert all(cell.stats == cells[0].stats for cell in cells)
         assert cells[0].error is None
-        assert len(built_graphs) == 3  # the first cell's graphs only
+        assert built_graphs == []  # a global group runs on n arc-free nodes
         executed.clear()
         built_graphs.clear()
         sweep(base, grid + [("model", ["group", "global"])])
@@ -632,6 +632,25 @@ class TestGroupedSweep:
         sweep(base, [("max_steps", [None, 200 * 30]),
                      ("regenerate_graph_per_run", [True, False])])
         assert executed == ["global"] * 3
+
+    @pytest.mark.parametrize("regenerate", [True, False])
+    def test_global_groups_build_no_graph(self, built_graphs, tmp_path, regenerate):
+        base = SimConfig(graph=GraphSpec("barabasi_albert", n=40, m_attach=2),
+                         model=GLOBAL, master_seed=3, runs=4, metrics=(0.5, 1.0),
+                         regenerate_graph_per_run=regenerate)
+        configs = [replace(base, scheme=scheme) for scheme in SCHEMES]
+        results = dict(experiment._execute(configs, workers=1))
+        assert built_graphs == []
+        for position, config in enumerate(configs):  # the records a built graph gives
+            assert results[position].records == tuple(
+                experiment._execute_run(config, experiment.run_graph(config, i), i, False)[0]
+                for i in range(config.runs))
+        built_graphs.clear()
+        path = tmp_path / "g.edges"
+        with path.open("w", encoding="utf-8") as handle:
+            save_edge_list(directed_cycle(40), handle)
+        run_ensemble(replace(base, graph=GraphSpec("file", path=str(path))))
+        assert len(built_graphs) == 1  # a file graph is still loaded, once
 
     @pytest.mark.parametrize("key,values", [
         ("graph.n", [30, 40]), ("scheme", list(SCHEMES)), ("seed_count", [1, 2]),
@@ -655,8 +674,10 @@ class TestAsyncGlobalOracle:
             with pytest.raises(ValueError):
                 async_global_time_to(5, i0, k)
 
-    def test_ensemble_means_match_the_exact_waits(self):
-        n, runs = 60, 400
+    @pytest.mark.parametrize("n, runs", [(60, 400), (10_000, 40)])
+    def test_ensemble_means_match_the_exact_waits(self, n, runs):
+        # at n = 10^4 a run takes about 2 * 10^5 steps, many of the async
+        # kernel's blocks, and its last block usually hands doubles back
         cfg = SimConfig(graph=GraphSpec("directed_cycle", n=n), model=GLOBAL,
                         scheme=ASYNC_SINGLE_NODE, master_seed=61, runs=runs,
                         metrics=(0.5, 1.0))

@@ -215,6 +215,31 @@ class TestFoundInputs:
         assert main(["run", "--config", "c.json", "--out", "out"]) == 1
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("model", ["fixed", "global"])
+    def test_run_state_beyond_memory(self, cli_env, capsys, monkeypatch, model):
+        # the graph fits, but a run's per-node infection times do not
+        full = np.full
+
+        def small_memory(shape, *args, **kwargs):  # 1,000 integers fit, no more
+            if np.prod(shape) > 1000:
+                raise MemoryError(f"Unable to allocate an array of shape {shape}")
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", small_memory)
+        base = dict(BASE, model=model)
+        if model == "global":
+            del base["transmission_prob"]
+        graph = {"type": "directed_cycle", "n": 2000}
+        (cli_env / "c.json").write_text(json.dumps(dict(base, graph=graph)))
+        assert main(["run", "--config", "c.json", "--out", "out"]) == 1
+        assert capsys.readouterr().err == "error: graph.n: 2000 does not fit in memory\n"
+        # a sweep records it as the cell's error and runs the others
+        (cli_env / "s.json").write_text(json.dumps(
+            {"base": base, "axes": {"graph": [graph, GRAPHS[0]]}}))
+        assert main(["sweep", "--config", "s.json", "--out", "sweep"]) == 0
+        errors = (cli_env / "sweep" / "sweep_errors.csv").read_text().splitlines()
+        assert len(errors) == 2 and errors[1].endswith(",graph.n: 2000 does not fit in memory")
+
 
 class TestFuzz:
     def test_run_configs(self, cli_env, capsys):

@@ -178,6 +178,12 @@ class TestGraphCore:
         assert a.fingerprint() != c.fingerprint()
         assert a == b and a != c
 
+    def test_compares_only_with_graphs_and_names_its_size(self):
+        g = directed_cycle(3)
+        assert g.__eq__(3) is NotImplemented
+        assert g != 3 and g != "Graph(n=3, arcs=3)"
+        assert repr(g) == "Graph(n=3, arcs=3)"
+
 
 class TestWattsStrogatz:
     def test_lattice_no_rewiring(self):

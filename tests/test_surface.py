@@ -17,18 +17,34 @@ from diffusim.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_readme_quick_start_runs_without_warnings():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    code = readme.split("## Quick start")[1].split("```python")[1].split("```")[0]
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's ``src`` first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_readme_quick_start_runs_without_warnings():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Quick start")[1].split("```python")[1].split("```")[0]
+    proc = run_python("-W", "error", "-c", code)
     assert proc.returncode == 0, proc.stderr
     label, mean, cv = proc.stdout.split()
     assert label == "time_to_0.01"
     assert float(mean) >= 0 and float(cv) >= 0
+
+
+def test_the_cli_loads_no_module_that_only_hashing_or_a_pool_needs():
+    # a process maps OpenSSL with its first draw or fingerprint, and starts a
+    # pool only for a pooled run; importing the CLI does neither
+    proc = run_python("-c", "import sys, numpy; before = set(sys.modules); "
+                      "import diffusim.cli; print(*set(sys.modules) - before)")
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "diffusim.cli" in added
+    assert not {"hashlib", "_hashlib", "concurrent.futures"} & set(added)
 
 
 def test_every_exported_name_resolves():
