@@ -97,12 +97,12 @@ def write_csv(path, header, rows=(), blocks=()) -> None:
         handle.writelines(blocks)
 
 
-def _curve_blocks(mean: np.ndarray, std: np.ndarray):
-    """The rows ``t, mean[t], std[t]`` as ``write_csv`` would format them,
-    in blocks of 4,096.  Each run of rows whose (mean, std) bits repeat builds
-    its ``,mean,std`` tail once; bits, so 0.0 and -0.0 are never merged."""
-    for lo in range(0, mean.size, 4096):
-        m, s = mean[lo:lo + 4096], std[lo:lo + 4096]
+def _curve_blocks(blocks):
+    """The rows ``t, mean[t], std[t]`` of the (first t, mean, std) ``blocks`` as
+    ``write_csv`` would format them, a text per block.  Each run of rows whose
+    (mean, std) bits repeat builds its ``,mean,std`` tail once; bits, so 0.0
+    and -0.0 are never merged."""
+    for lo, m, s in blocks:
         mb, sb = m.view(np.int64), s.view(np.int64)
         starts = np.flatnonzero(np.r_[True, (mb[1:] != mb[:-1]) | (sb[1:] != sb[:-1])])
         tails = [f",{_cell(a)},{_cell(b)}\n"
@@ -327,7 +327,7 @@ def cmd_report(args) -> int:
     config = parse_config(args.config, args.set)
     curve = run_ensemble(config, workers=worker_count(), collect_curves=True).curve
     write_csv(_prepare_outdir(args.out) / "curve.csv", CURVE_COLUMNS,
-              blocks=_curve_blocks(curve.mean_fraction, curve.std_fraction))
+              blocks=_curve_blocks(curve.blocks(std=True)))
     return 0
 
 

@@ -85,14 +85,14 @@ def build_reference_curves(config: SimConfig, workers: int = 1):
     three ensembles are one call of experiment's executor, so each run's graph
     is built once for all three.  Every run is done, and the first model's
     failure raised, before this returns an iterator of the curves in model
-    order; each mean is accumulated only when the iterator reaches it.
+    order; each mean is made from its runs' times only when the iterator reaches it.
     """
     if config.model.kind != "fixed":
         raise ValueError("reference config must use the fixed model so the "
                          "transmission probability is pinned")
     models = (config.model, GROUP, GLOBAL)
     curves = _curves(models, _execute([replace(config, model=m) for m in models],
-                                      workers, True, std=False))
+                                      workers, True))
     next(curves)  # the three share one graph key, so every run is in with the first
     return curves
 
@@ -104,7 +104,6 @@ def _curves(models, results):
         if position == 0:
             yield  # where build_reference_curves stops
         yield ReferenceCurve(model=models[position].kind, curve=result.curve.mean_fraction)
-        del result  # before the next mean is accumulated
 
 
 @dataclass(frozen=True)

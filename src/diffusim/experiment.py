@@ -40,7 +40,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import ModelKind, SYNCHRONOUS
-from .graph import (EdgeListError, Graph, GraphSpec, build_graph,
+from .graph import (MAX_NODES, EdgeListError, Graph, GraphSpec, build_graph,
                     check_field_types, config_key, decimal_int)
 from .metrics import evaluate_metric, metric_label, metric_target
 
@@ -49,7 +49,9 @@ STREAM_GRAPH = 1
 
 DEFAULT_METRICS = (0.01, (0.01, 0.99))
 MAX_STEPS_PER_NODE = 200  # default cap when max_steps is unset
-_CURVE_BLOCK = 65_536  # curve steps per block: no temporary is as long as the curve
+MAX_CURVE_STEPS = MAX_STEPS_PER_NODE * MAX_NODES + 1  # the default cap on the largest graph
+_CURVE_BLOCK = 4096  # curve steps per block: no temporary is as long as the curve
+_CURVE_TOO_LONG = "max_steps: a curve of {} steps does not fit in memory"
 
 
 def derive_run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -221,15 +223,57 @@ class MetricStats:
 
 @dataclass(frozen=True)
 class CurveStats:
-    """Per-step mean/std of the infected count over all runs.
+    """Per-step mean/std of the infected count over all runs, as fractions of n.
 
-    Runs shorter than the longest one are continued at their final count
-    (a finished run stays where it stopped).  Accumulated in exact integer
-    arithmetic, so the result is identical however runs were scheduled.
+    ``histories`` holds per run its sorted infection times, in the smallest
+    unsigned type of its last step, and that step, after which the run stays
+    at its final count.  The summed count at step k is the number of all
+    runs' times at most k, and the summed square adds each run's count
+    squared: exact integers, so no run order moves a byte.
     """
 
-    mean_fraction: np.ndarray
-    std_fraction: np.ndarray | None  # None when only the mean was asked for
+    histories: tuple
+    n: int
+
+    def __post_init__(self):
+        if self.horizon > MAX_CURVE_STEPS:
+            raise ValueError(_CURVE_TOO_LONG.format(self.horizon))
+
+    @property
+    def horizon(self) -> int:  # the longest run's last step, plus one
+        return max(steps for _, steps in self.histories) + 1
+
+    def blocks(self, std: bool = False):
+        """(first step, mean, std or None) of each _CURVE_BLOCK steps in turn."""
+        merged = np.concatenate([times for times, _ in self.histories])
+        merged.sort()
+        runs, horizon = len(self.histories), self.horizon
+        for lo in range(0, horizon, _CURVE_BLOCK):  # queries in the times' type: no copies
+            k = np.arange(lo, min(lo + _CURVE_BLOCK, horizon), dtype=merged.dtype)
+            mean = np.divide(merged.searchsorted(k, "right"), runs)
+            if std:
+                squares = np.zeros(k.size, np.int64)
+                for times, last in self.histories:  # clamped, so narrowing cannot wrap
+                    count = times.searchsorted(np.minimum(k, last).astype(times.dtype), "right")
+                    squares += count * count
+                var = np.divide(squares, runs)
+                var -= mean * mean
+                np.clip(var, 0.0, None, out=var)
+                np.sqrt(var, out=var)
+                var /= self.n
+            mean /= self.n
+            yield lo, mean, (var if std else None)
+
+    @property
+    def mean_fraction(self) -> np.ndarray:
+        """The whole mean curve as one float64 array, made on each read."""
+        try:
+            mean = np.empty(self.horizon)
+        except MemoryError:
+            raise ValueError(_CURVE_TOO_LONG.format(self.horizon)) from None
+        for lo, block, _ in self.blocks():
+            mean[lo:lo + block.size] = block
+        return mean
 
 
 @dataclass(frozen=True)
@@ -248,12 +292,7 @@ def _execute_run(config: SimConfig, g: Graph, run_index: int,
                         config.effective_max_steps(g.n), rng)
     results = tuple((metric_label(m), evaluate_metric(traj, m))
                     for m in config.metrics)
-    record = RunRecord(
-        run_index=run_index,
-        metric_results=results,
-        final_infected=traj.final_infected,
-        steps_executed=traj.steps_executed,
-    )
+    record = RunRecord(run_index, results, traj.final_infected, traj.steps_executed)
     steps = traj.steps_executed  # times kept in the smallest unsigned type that holds it
     history = ((traj.sorted_times.astype(np.min_scalar_type(steps)), steps)
                if collect_curves else None)
@@ -356,7 +395,7 @@ def _dynamics_key(config: SimConfig):
             config.master_seed, config.runs, config.metrics)
 
 
-def _execute(configs, workers: int, collect_curves: bool = False, std: bool = True):
+def _execute(configs, workers: int, collect_curves: bool = False):
     """Run every distinct ensemble once, building each distinct graph once.
 
     The first config of each dynamics key runs for all that share it.
@@ -365,7 +404,7 @@ def _execute(configs, workers: int, collect_curves: bool = False, std: bool = Tr
     run in one process pool, never of more workers than chunks.  Yields
     (config position, EnsembleResult or the exception of its first failing
     run) as soon as a group's last chunk is in, so only one group's records
-    are held at a time.  ``std=False`` leaves the curves' std out.
+    are held at a time.
     """
     by_key = {}  # dynamics key -> positions of the configs that have it
     for position, config in enumerate(configs):
@@ -405,20 +444,17 @@ def _execute(configs, workers: int, collect_curves: bool = False, std: bool = Tr
                 for position in members:
                     items = outputs.pop(position)
                     result = (errors[position] if position in errors else
-                              _ensemble(configs[position], items, collect_curves, std))
+                              _ensemble(configs[position], items, collect_curves))
                     for sharer in sharers[position]:
                         yield sharer, result
-                    del items, result  # held by no frame while the next is built
 
 
-def _ensemble(config: SimConfig, outputs, collect_curves: bool, std: bool) -> EnsembleResult:
+def _ensemble(config: SimConfig, outputs, collect_curves: bool) -> EnsembleResult:
     records = tuple(item[0] for item in outputs)
     labels = [metric_label(m) for m in config.metrics]
     stats = tuple((label, _metric_stats(records, label)) for label in labels)
     n = outputs[0][2]
-    curve = None
-    if collect_curves:
-        curve = _accumulate_curve([item[1] for item in outputs], n=n, std=std)
+    curve = CurveStats(tuple(item[1] for item in outputs), n) if collect_curves else None
     return EnsembleResult(records=records, stats=stats, curve=curve, n=n)
 
 
@@ -434,42 +470,6 @@ def _metric_stats(records, label: str) -> MetricStats:
     return MetricStats(mean=mean, std=std, cv=cv,
                        min=int(arr.min()), max=int(arr.max()),
                        censored_count=censored, runs=len(records))
-
-
-def _accumulate_curve(histories, n: int, std: bool = True) -> CurveStats:
-    """Exact integer per-step sums (and square sums if ``std``) of the infected count.
-
-    Each history is a run's sorted infection times, of any integer type, and
-    its last step.  The sums are difference arrays over the longest run's
-    horizon: the i-th infection adds 1 to the count and 2i - 1 to its square,
-    and a run that ended earlier keeps its final count.  Integer sums are
-    associative, so any processing order gives identical bytes.  The sum
-    arrays then become the mean and std in place, each int64 its float64 quotient.
-    """
-    horizon = max(steps for _, steps in histories) + 1
-    try:  # the counts' sums, then their squares'; apart, so a kept mean holds no std
-        sums = [np.zeros(horizon, dtype=np.int64) for _ in range(1 + std)]
-    except (MemoryError, ValueError):  # ValueError: "Maximum allowed dimension exceeded"
-        raise ValueError(f"max_steps: a curve of {horizon} steps does not fit "
-                         "in memory") from None
-    for times, _ in histories:
-        np.add.at(sums[0], times, 1)
-        if std:
-            np.add.at(sums[1], times, 2 * np.arange(1, times.size + 1, dtype=np.int64) - 1)
-    quotients = [np.cumsum(total, out=total).view(np.float64) for total in sums]
-    for lo in range(0, horizon, _CURVE_BLOCK):
-        block = slice(lo, lo + _CURVE_BLOCK)
-        for total, quotient in zip(sums, quotients):
-            np.divide(total[block], len(histories), out=quotient[block])
-        mean = quotients[0][block]
-        if std:
-            var = quotients[1][block]
-            var -= mean * mean
-            np.clip(var, 0.0, None, out=var)
-            np.sqrt(var, out=var)
-            var /= n
-        mean /= n
-    return CurveStats(mean_fraction=quotients[0], std_fraction=quotients[1] if std else None)
 
 
 # -- sweeps -------------------------------------------------------------------

@@ -12,9 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diffusim import cli
+from diffusim import cli, experiment
 from diffusim.cli import main, parse_config, read_series_csv
-from diffusim.experiment import derive_graph_rng, run_ensemble, set_dotted
+from diffusim.experiment import (MAX_CURVE_STEPS, derive_graph_rng, run_ensemble,
+                                 set_dotted)
 from diffusim.graph import (build_graph, directed_cycle, load_edge_list,
                             save_edge_list)
 
@@ -337,7 +338,7 @@ class TestRejectionsNameTheirKey:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["report", "fit"])
-    @pytest.mark.parametrize("max_steps", [10 ** 15, 10 ** 30])
+    @pytest.mark.parametrize("max_steps", [10 ** 15, 10 ** 30, MAX_CURVE_STEPS])
     def test_curve_too_long_for_memory_names_max_steps(self, tmp_path, monkeypatch,
                                                        capsys, command, max_steps):
         # every run absorbs at once, so only the curve's allocation is at stake
@@ -780,18 +781,38 @@ class TestReportCommand:
         assert float(rows[1][1]) == result.curve.mean_fraction[0]
         assert rows[1][1] == repr(float(result.curve.mean_fraction[0]))
 
+    def test_report_peak_does_not_grow_with_the_curve(self, tmp_path):
+        # fixed(0.0) spreads to no one, so each run is one infection padded to
+        # the cap; the curve is written a block at a time from those times
+        # (its two int64 sums took 16 bytes a step: +2.9 MB from 20,000 steps)
+        argv = ["report", "--config", str(write_config(
+            tmp_path / "c.json", model="fixed", transmission_prob=0.0, runs=2,
+            graph={"type": "cycle", "n": 5})), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--set", "max_steps=100"]) == 0  # one-off imports
+        peaks = []
+        for max_steps in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--set", f"max_steps={max_steps}"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(read_rows(tmp_path / "out" / "curve.csv")) == 200_002
+        assert peaks[1] < peaks[0] + 50_000
 
     @staticmethod
     def curve(name):
-        """(mean, std) of a curve shaped to test ``_curve_blocks``."""
+        """(mean, std) of a curve shaped to test ``_curve_blocks``, which is
+        given blocks of ``_CURVE_BLOCK`` rows."""
         rng = np.random.default_rng(5)
         if name == "long runs":  # the two columns change at different rows
             return np.repeat(rng.random(60), 150), np.repeat(rng.random(90), 100)
         if name == "no repeats":
             return (rng.random(5000) * 10.0 ** rng.integers(-20, 5, 5000),
                     rng.random(5000))
-        if name == "a run across a block boundary":  # rows 4000-4199
-            steps = np.r_[np.linspace(0.0, 0.5, 4000), np.full(200, 0.5 + 1 / 3),
+        if name == "a run across a block boundary":  # 200 rows, 96 before it
+            steps = np.r_[np.linspace(0.0, 0.5, experiment._CURVE_BLOCK - 96),
+                          np.full(200, 0.5 + 1 / 3),
                           np.linspace(0.9, 1.0, 100)]
             return steps, steps / 7
         return (np.array([0.0, -0.0, -0.0, 0.0, 0.0, 0.25]),  # signed zeros
@@ -806,8 +827,11 @@ class TestReportCommand:
         writer.writerow(cli.CURVE_COLUMNS)
         for t, (m, s) in enumerate(zip(mean.tolist(), std.tolist())):
             writer.writerow([cli._cell(t), cli._cell(m), cli._cell(s)])
+        block = experiment._CURVE_BLOCK
+        blocks = [(lo, mean[lo:lo + block], std[lo:lo + block])
+                  for lo in range(0, mean.size, block)]
         cli.write_csv(tmp_path / "curve.csv", cli.CURVE_COLUMNS,
-                      blocks=cli._curve_blocks(mean, std))
+                      blocks=cli._curve_blocks(blocks))
         assert (tmp_path / "curve.csv").read_bytes() == expected.getvalue().encode()
 
 

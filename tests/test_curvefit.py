@@ -246,11 +246,11 @@ class TestFitSeries:
     def test_fit_holds_one_reference_curve_at_a_time(self, reference_config, refs,
                                                      monkeypatch):
         # (ReferenceCurves, mean arrays under them) alive at each call: none
-        # while a mean is accumulated and one while it is fitted (building
-        # all three first held three at every fit)
+        # while a mean is made from its runs' infection times and one while
+        # it is fitted (building all three first held three at every fit)
         live, seen = [], []
         post_init, fit_one = ReferenceCurve.__post_init__, curvefit._fit_one
-        accumulate = experiment._accumulate_curve
+        mean_fraction = experiment.CurveStats.mean_fraction.fget
 
         def tracked(ref):
             post_init(ref)
@@ -265,7 +265,8 @@ class TestFitSeries:
 
         monkeypatch.setattr(ReferenceCurve, "__post_init__", tracked)
         monkeypatch.setattr(curvefit, "_fit_one", counted(fit_one, "fit"))
-        monkeypatch.setattr(experiment, "_accumulate_curve", counted(accumulate, "mean"))
+        monkeypatch.setattr(experiment.CurveStats, "mean_fraction",
+                            property(counted(mean_fraction, "mean")))
         obs = normalize_series(refs[2].curve[::3])
         result = fit_series(obs, build_reference_curves(reference_config))
         assert seen == [("mean", 0, 0), ("fit", 1, 1)] * 3

@@ -29,6 +29,12 @@ from markov_oracle import (async_global_time_to, global_count_distribution,
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def curve_arrays(curve) -> tuple:
+    """(mean, std) of a CurveStats, each one array joined from its blocks."""
+    _, mean, std = zip(*curve.blocks(std=True))
+    return np.concatenate(mean), np.concatenate(std)
+
+
 def readme_configuration_section() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return readme.split("## Configuration")[1].split("\n## ")[0]
@@ -325,10 +331,10 @@ class TestRunEnsemble:
         width = max(c.size for c in counts)
         padded = np.stack([np.concatenate([c, np.full(width - c.size, c[-1])])
                            for c in counts])
-        assert np.array_equal(result.curve.mean_fraction,
-                              padded.mean(axis=0) / 40)
-        assert np.allclose(result.curve.std_fraction,
-                           padded.std(axis=0) / 40, atol=1e-12)
+        mean, std = curve_arrays(result.curve)
+        assert np.array_equal(mean, padded.mean(axis=0) / 40)
+        assert np.array_equal(result.curve.mean_fraction, mean)
+        assert np.allclose(std, padded.std(axis=0) / 40, atol=1e-12)
 
     def test_early_stop_memory_does_not_grow_with_the_cap(self):
         # every run is absorbed at once; without curves nothing may be
@@ -350,8 +356,8 @@ class TestRunEnsemble:
 
     @staticmethod
     def sums_then_quotients(histories, n):
-        """The curve as the expression the package used before it turned
-        the sum rows into mean and std in place."""
+        """The curve as the expression the package used before it read
+        each step's sums from the runs' infection times."""
         horizon = max(steps for _, steps in histories) + 1
         sums, sumsq = np.zeros((2, horizon), dtype=np.int64)
         for times, _ in histories:
@@ -375,17 +381,15 @@ class TestRunEnsemble:
         return histories, n
 
     @pytest.mark.parametrize("runs", [1, 2, 5])
-    def test_in_place_curve_is_bit_equal_to_the_sums_expression(self, runs):
+    def test_block_curve_is_bit_equal_to_the_sums_expression(self, runs):
         rng = np.random.default_rng(runs)
         for _ in range(60):
             histories, n = self.random_histories(rng, runs, 399)
-            curve = experiment._accumulate_curve(histories, n)
+            curve = experiment.CurveStats(tuple(histories), n)
             mean, std = self.sums_then_quotients(histories, n)
+            assert [a.tobytes() for a in curve_arrays(curve)] == [mean.tobytes(), std.tobytes()]
+            assert all(s is None for _, _, s in curve.blocks())
             assert curve.mean_fraction.tobytes() == mean.tobytes()
-            assert curve.std_fraction.tobytes() == std.tobytes()
-            mean_only = experiment._accumulate_curve(histories, n, std=False)
-            assert mean_only.std_fraction is None
-            assert mean_only.mean_fraction.tobytes() == mean.tobytes()
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_blocked_quotients_are_bit_equal_at_a_block_edge(self, offset):
@@ -394,12 +398,12 @@ class TestRunEnsemble:
         histories = [(np.sort(rng.integers(0, steps + 1, 50)), steps)
                      for steps in (horizon - 1, horizon // 3)]
         mean, std = self.sums_then_quotients(histories, 50)
-        curve = experiment._accumulate_curve(histories, 50)
-        assert curve.mean_fraction.size == horizon
+        curve = experiment.CurveStats(tuple(histories), 50)
+        block = experiment._CURVE_BLOCK
+        assert [(lo, m.size) for lo, m, _ in curve.blocks(std=True)] == \
+            {-1: [(0, block - 1)], 0: [(0, block)], 1: [(0, block), (block, 1)]}[offset]
+        assert [a.tobytes() for a in curve_arrays(curve)] == [mean.tobytes(), std.tobytes()]
         assert curve.mean_fraction.tobytes() == mean.tobytes()
-        assert curve.std_fraction.tobytes() == std.tobytes()
-        mean_only = experiment._accumulate_curve(histories, 50, std=False)
-        assert mean_only.mean_fraction.tobytes() == mean.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
     def test_narrow_histories_give_the_int64_curve_bit_for_bit(self, dtype):
@@ -409,10 +413,21 @@ class TestRunEnsemble:
             for _ in range(10):
                 wide, n = self.random_histories(rng, runs, top)
                 narrow = [(times.astype(dtype), steps) for times, steps in wide]
-                a = experiment._accumulate_curve(wide, n)
-                b = experiment._accumulate_curve(narrow, n)
-                assert a.mean_fraction.tobytes() == b.mean_fraction.tobytes()
-                assert a.std_fraction.tobytes() == b.std_fraction.tobytes()
+                a = curve_arrays(experiment.CurveStats(tuple(wide), n))
+                b = curve_arrays(experiment.CurveStats(tuple(narrow), n))
+                assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+
+    def test_a_uint16_run_beside_a_uint32_run_past_65535_steps(self):
+        # the uint16 run's step queries are clamped at its last step before
+        # they take its type; past 65,535 they would wrap round to 0
+        rng = np.random.default_rng(16)
+        wide = [(np.sort(rng.integers(0, 60_001, 40)), 60_000),
+                (np.sort(rng.integers(0, 140_001, 40)), 140_000)]
+        narrow = [(times.astype(np.min_scalar_type(steps)), steps) for times, steps in wide]
+        assert [times.dtype for times, _ in narrow] == [np.uint16, np.uint32]
+        mean, std = self.sums_then_quotients(wide, 40)
+        curve = experiment.CurveStats(tuple(narrow), 40)
+        assert [a.tobytes() for a in curve_arrays(curve)] == [mean.tobytes(), std.tobytes()]
 
     @pytest.mark.parametrize("max_steps, dtype", [
         (200, np.uint8), (60_000, np.uint16), (70_000, np.uint32)])
@@ -424,29 +439,12 @@ class TestRunEnsemble:
         assert steps == record.steps_executed == max_steps
         assert times.dtype == dtype and times.tolist() == [0, 0, 0]
 
-    def test_curve_holds_under_19_bytes_per_step(self):
-        horizon = 400_000
-        rng = np.random.default_rng(4)
-        histories = [(np.sort(rng.integers(0, horizon, 1000)), horizon - 1)
-                     for _ in range(2)]
-        tracemalloc.start()
-        try:
-            experiment._accumulate_curve(histories, 1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # two int64 sum rows that become the mean and std, and one block's
-        # temporaries: 17.5 bytes a step (whole-array quotients took 24.2,
-        # the sums expression 56)
-        assert peak < 19 * horizon
-
     def test_curve_bytes_identical_across_workers(self):
         cfg = SimConfig(graph=GraphSpec("watts_strogatz", n=40, k=6, beta=0.1),
                         model=GROUP, master_seed=8, runs=9, metrics=(1.0,))
-        a = run_ensemble(cfg, workers=1, collect_curves=True)
-        b = run_ensemble(cfg, workers=4, collect_curves=True)
-        assert a.curve.mean_fraction.tobytes() == b.curve.mean_fraction.tobytes()
-        assert a.curve.std_fraction.tobytes() == b.curve.std_fraction.tobytes()
+        a = curve_arrays(run_ensemble(cfg, workers=1, collect_curves=True).curve)
+        b = curve_arrays(run_ensemble(cfg, workers=4, collect_curves=True).curve)
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
     def test_pool_never_exceeds_the_task_count(self, monkeypatch):
         requested = []

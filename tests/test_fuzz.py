@@ -240,6 +240,26 @@ class TestFoundInputs:
         errors = (cli_env / "sweep" / "sweep_errors.csv").read_text().splitlines()
         assert len(errors) == 2 and errors[1].endswith(",graph.n: 2000 does not fit in memory")
 
+    def test_curve_beyond_memory(self, cli_env, capsys, monkeypatch):
+        # the curve is far below the bound on its length, but fit's one mean
+        # array of it does not fit in memory
+        empty = np.empty
+
+        def small_memory(shape, *args, **kwargs):  # 1,000 floats fit, no more
+            if np.prod(shape) > 1000:
+                raise MemoryError(f"Unable to allocate an array of shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", small_memory)
+        (cli_env / "c.json").write_text(json.dumps(dict(
+            BASE, transmission_prob=0.0, max_steps=5000, graph=GRAPHS[0])))
+        (cli_env / "s.csv").write_text("value\n" + "0.5\n" * 8)
+        argv = ["fit", "--config", "c.json", "--series", "s.csv", "--out", "out"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: max_steps: a curve of 5001 steps does not fit in memory\n"
+        assert not (cli_env / "out").exists()
+
 
 class TestFuzz:
     def test_run_configs(self, cli_env, capsys):
