@@ -83,27 +83,23 @@ def build_reference_curves(config: SimConfig, workers: int = 1):
     master_seed.  The config must use the fixed model, which pins the
     transmission probability; group and global reuse every other field.  The
     three ensembles are one call of experiment's executor, so each run's graph
-    is built once for all three.  Every run is done, and the first model's
-    failure raised, before this returns an iterator of the curves in model
+    is built once for all three.  Every run is done, and the first failure in
+    model order raised, before this returns an iterator of the curves in model
     order; each mean is made from its runs' times only when the iterator reaches it.
     """
     if config.model.kind != "fixed":
         raise ValueError("reference config must use the fixed model so the "
                          "transmission probability is pinned")
     models = (config.model, GROUP, GLOBAL)
-    curves = _curves(models, _execute([replace(config, model=m) for m in models],
-                                      workers, True))
-    next(curves)  # the three share one graph key, so every run is in with the first
-    return curves
-
-
-def _curves(models, results):
-    for position, result in results:
+    results = dict(_execute([replace(config, model=m) for m in models], workers, True))
+    for _, result in sorted(results.items()):
         if isinstance(result, Exception):
             raise result
-        if position == 0:
-            yield  # where build_reference_curves stops
-        yield ReferenceCurve(model=models[position].kind, curve=result.curve.mean_fraction)
+    if results[0].curve.horizon == 1:  # every node a seed: each run ends at step 0
+        raise ValueError(f"seed_count: must be below graph n ({results[0].n}) "
+                         "for a reference curve")
+    return (ReferenceCurve(model=m.kind, curve=results.pop(position).curve.mean_fraction)
+            for position, m in enumerate(models))
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,8 @@ PINS = [
          ("sha256", "fit-large-1/fit.csv", "048f3525d418664a04400bfe277699ab6e7e2f3239b3c7ef8cb35477c095911c"),
          ("same", "fit-large-1/fit.csv", "fit-large-2/fit.csv")]),
     Pin("errors", "a parser's limit exits 1, not 3 (an argument holds 128 KiB, so 50,000 "
-        "deep); global reads only n, so complete(10^6) runs without the arcs group needs",
+        "deep); global reads only n, so complete(10^6) runs without the arcs group needs; "
+        "a fit whose every node is a seed names seed_count",
         {"deep.json": b"[" * 200000 + b"]" * 200000 + b"\n", "cycle.json": CYCLE,
          "long.csv": b"value\n" + b"1" * 200000 + b"\n", "bytes.edges": b"\xff\xfe3\n0 1\n",
          "dup.json": b'{"model": "group", "runs": 1, "runs": 3}\n',
@@ -110,7 +111,10 @@ PINS = [
          "curve.json": {**CYCLE, "model": "fixed", "transmission_prob": 0.0, "runs": 2,
                         "max_steps": 10 ** 15, "graph": {"type": "cycle", "n": 5}},
          "complete.json": {**CYCLE, "model": "global", "runs": 1, "max_steps": 10,
-                           "graph": {"type": "complete", "n": 1000000}}},
+                           "graph": {"type": "complete", "n": 1000000}},
+         "logistic.csv": LOGISTIC,
+         "seeds.json": {**CYCLE, "model": "fixed", "transmission_prob": 0.5, "seed_count": 5,
+                        "graph": {"type": "cycle", "n": 5}}},
         ["run --config complete.json --out global"],
         [("exit", "run --config deep.json --out deep", 1, "error: deep.json: JSON nests too deeply"),
          ("exit", "sweep --config configs/onset_spread_sweep.json --out deep --set "
@@ -130,7 +134,9 @@ PINS = [
           "error: max_steps: a curve of 1000000000000001 steps does not fit in memory"),
          ("sha256", "global/runs.csv", "6aa17666d4474609df1b348392d9052b98ff14d050ed9f4cb29dc453c10f3acd"),
          ("exit", "run --config complete.json --out group --set model=group", 1,
-          "error: graph.n: 1000000 does not fit in memory")]),
+          "error: graph.n: 1000000 does not fit in memory"),
+         ("exit", "fit --series logistic.csv --config seeds.json --out seeds", 1,
+          "error: seed_count: must be below graph n (5) for a reference curve")]),
 ]
 
 

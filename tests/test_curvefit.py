@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import diffusim
-from diffusim import curvefit, experiment
+from diffusim import curvefit, dynamics, experiment
 from diffusim.dynamics import GLOBAL, GROUP, fixed
 from diffusim.experiment import config_to_dict, config_from_dict, run_ensemble
 from diffusim.graph import directed_cycle, save_edge_list
@@ -190,6 +190,39 @@ class TestReferenceBuild:
             build_reference_curves(config)
         assert str(raised.value) == str(alone.value) == \
             "seed_count: must not exceed graph n (3)"
+
+    def test_a_group_failure_is_raised_before_the_first_curve(self, reference_config,
+                                                             monkeypatch):
+        kernel, means = dynamics._kernel, []
+
+        def failing(scheme):
+            def run(model, *args):
+                if model.kind == "group":
+                    raise ValueError("group failed")
+                return kernel(scheme)(model, *args)
+            return run
+
+        monkeypatch.setattr(dynamics, "_kernel", failing)
+        monkeypatch.setattr(experiment.CurveStats, "mean_fraction",
+                            property(lambda stats: means.append(stats)))
+        with pytest.raises(ValueError, match="^group failed$"):
+            build_reference_curves(reference_config)  # serial
+        assert means == []
+
+    @pytest.mark.parametrize("graph", [{"type": "cycle", "n": 5}, "file"])
+    def test_every_node_a_seed_names_seed_count(self, reference_config, tmp_path, graph):
+        if graph == "file":
+            path = tmp_path / "five.edges"
+            with path.open("w", encoding="utf-8") as handle:
+                save_edge_list(directed_cycle(5), handle)
+            graph = {"type": "file", "path": str(path)}
+        config = config_from_dict({**config_to_dict(reference_config),
+                                   "seed_count": 5, "graph": graph})
+        with pytest.raises(ValueError) as raised:
+            build_reference_curves(config)
+        assert str(raised.value) == "seed_count: must be below graph n (5) for a reference curve"
+        refs = tuple(build_reference_curves(replace(config, seed_count=4)))
+        assert [ref.curve[0] for ref in refs] == [0.8] * 3
 
     def test_non_fixed_config_rejected(self, reference_config):
         bad = config_from_dict({**config_to_dict(reference_config),
